@@ -41,6 +41,13 @@
 
 namespace fc::cpu {
 
+/// The page-tail region, where fewer than kMaxInstructionLength bytes
+/// remain: a fetch from here probes (and may charge a miss on) the next
+/// page, so the cached tiers leave these instructions to step().
+inline bool in_page_tail(GVirt va) {
+  return kPageSize - page_offset(va) < isa::kMaxInstructionLength;
+}
+
 struct DecodedBlock {
   HostFrame frame = 0;
   u16 offset = 0;     // first instruction's offset within the frame

@@ -14,280 +14,58 @@ constexpr u64 trace_key(HostFrame frame, u32 offset) {
   return (static_cast<u64>(frame) << kPageShift) | offset;
 }
 
-/// ALU ops whose fused execution is exact: register-only, no memory access,
-/// no fault path, and the only flag effect is the ZF the adjacent Jcc
-/// consumes (the flags-dead proof in DESIGN.md — no op between the pair can
-/// observe an intermediate flags state because there is none).
-bool fusable_alu(const isa::Instruction& insn) {
-  switch (insn.op) {
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kXor:
-    case Op::kCmp:
-    case Op::kCmpImmA:
-    case Op::kAddImmA:
-    case Op::kSubImmA:
-      return true;
-    case Op::kOr:
-      return insn.disp == 0;  // memory form reads through the MMU
-    default:
-      return false;
-  }
-}
-
-/// Classify for the dispatcher (see OpKind). kCli/kSti are deliberately
-/// kSlow — unmasking interrupts can make a pending IRQ due at the very next
-/// boundary, which only the full guard notices.
-OpKind classify_op(const isa::Instruction& insn) {
-  switch (insn.op) {
-    case Op::kNop:
-    case Op::kMovRR:
-    case Op::kMovImm:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kXor:
-    case Op::kCmp:
-    case Op::kCmpImmA:
-    case Op::kAddImmA:
-    case Op::kSubImmA:
-    case Op::kJmp:
-    case Op::kJmpShort:
-    case Op::kJz:
-    case Op::kJnz:
-    case Op::kJzNear:
-    case Op::kJnzNear:
-    case Op::kRdtsc:
-      return OpKind::kPure;
-    case Op::kOr:
-      // The memory form reads through the MMU; the register form is pure.
-      return insn.disp == 0 ? OpKind::kPure : OpKind::kSlow;
-    default:
-      return OpKind::kSlow;
-  }
-}
-
 /// Resolve a branch target to an in-trace micro-op index: the next op on
 /// the predicted chain or the trace entry (the hot-loop back edge), exactly
-/// the two stay-in-dispatch cases the dispatcher recognised before lowering.
+/// the two stay-in-dispatch cases the dispatcher recognises.
 u16 target_index(GVirt target, const Trace& tr, std::size_t j) {
-  if (j + 1 < tr.ops.size() && target == tr.ops[j + 1].va)
+  if (j + 1 < tr.uops.size() && target == tr.uops[j + 1].va)
     return static_cast<u16>(j + 1);
   if (target == tr.entry_va) return 0;
   return kNoTarget;
 }
 
-FusedAlu fused_alu_kind(Op op) {
-  switch (op) {
-    case Op::kAdd:
-      return FusedAlu::kAddRR;
-    case Op::kSub:
-      return FusedAlu::kSubRR;
-    case Op::kXor:
-      return FusedAlu::kXorRR;
-    case Op::kOr:
-      return FusedAlu::kOrRR;
-    case Op::kCmp:
-      return FusedAlu::kCmpRR;
-    case Op::kAddImmA:
-      return FusedAlu::kAddImm;
-    case Op::kSubImmA:
-      return FusedAlu::kSubImm;
-    case Op::kCmpImmA:
-      return FusedAlu::kCmpImm;
-    default:
-      FC_UNREACHABLE(<< "non-fusable ALU in fused op");
-  }
+/// Fold a Jcc into the previous micro-op when that is the adjacent
+/// register-only ALU op producing the flags the branch tests. Exact by the
+/// flags-dead proof in DESIGN.md: no op between the pair can observe an
+/// intermediate flags state because there is none.
+bool try_fuse(MicroOp& prev, const MicroOp& jcc) {
+  if (!is_alu(prev.kind) || prev.fall_va != jcc.va) return false;
+  prev.aux = static_cast<u8>(static_cast<u8>(prev.kind) | jcc.aux);
+  prev.kind = UOp::kFused;
+  prev.jcc_va = jcc.va;
+  prev.taken_va = jcc.taken_va;
+  prev.fall_va = jcc.fall_va;
+  return true;
 }
 
-/// Lower the finished op list into the flat micro-op array the dispatcher
-/// executes (1:1, same indices). All operand extraction, rel_target
-/// arithmetic and in-trace branch resolution happens here, once.
-void lower(Trace& tr) {
-  const std::size_t n = tr.ops.size();
-  tr.uops.reserve(n);
+/// Finish the stitched micro-op array: resolve branch targets to in-trace
+/// indices, so staying on the predicted chain is an index assignment, and
+/// compute the simple-run lengths the batch dispatcher uses.
+void link(Trace& tr) {
+  const std::size_t n = tr.uops.size();
   for (std::size_t j = 0; j < n; ++j) {
-    const TraceOp& op = tr.ops[j];
-    const isa::Instruction& insn = op.insn;
-    MicroOp u;
-    u.va = op.va;
-    u.fall_va = op.va + insn.length;
-    u.slow_index = static_cast<u16>(j);
-    if (op.fused) {
-      u.kind = UOp::kFused;
-      const bool want_zf =
-          op.jcc.op == Op::kJz || op.jcc.op == Op::kJzNear;
-      u.aux = static_cast<u8>(fused_alu_kind(insn.op)) |
-              (want_zf ? 0x80 : 0);
-      u.r1 = static_cast<u8>(insn.r1);
-      u.r2 = static_cast<u8>(insn.r2);
-      u.imm = insn.imm;
-      switch (insn.op) {  // imm forms implicitly target A
-        case Op::kAddImmA:
-        case Op::kSubImmA:
-        case Op::kCmpImmA:
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          break;
-        default:
-          break;
-      }
-      u.jcc_va = op.jcc_va;
-      u.taken_va = op.taken_va;
-      u.fall_va = op.fall_va;
-      u.taken_idx = target_index(op.taken_va, tr, j);
-      u.fall_idx = target_index(op.fall_va, tr, j);
-    } else if (op.kind == OpKind::kPure) {
-      u.r1 = static_cast<u8>(insn.r1);
-      u.r2 = static_cast<u8>(insn.r2);
-      u.imm = insn.imm;
-      switch (insn.op) {
-        case Op::kNop:
-          u.kind = UOp::kNop;
-          break;
-        case Op::kMovRR:
-          u.kind = UOp::kMovRR;
-          break;
-        case Op::kMovImm:
-          u.kind = UOp::kMovImm;
-          break;
-        case Op::kAdd:
-          u.kind = UOp::kAddRR;
-          break;
-        case Op::kSub:
-          u.kind = UOp::kSubRR;
-          break;
-        case Op::kXor:
-          u.kind = UOp::kXorRR;
-          break;
-        case Op::kOr:  // register form; classify_op rejects disp != 0
-          u.kind = UOp::kOrRR;
-          break;
-        case Op::kCmp:
-          u.kind = UOp::kCmpRR;
-          break;
-        case Op::kAddImmA:
-          u.kind = UOp::kAddImm;
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          break;
-        case Op::kSubImmA:
-          u.kind = UOp::kSubImm;
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          break;
-        case Op::kCmpImmA:
-          u.kind = UOp::kCmpImm;
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          break;
-        case Op::kRdtsc:
-          u.kind = UOp::kRdtsc;
-          break;
-        case Op::kJmp:
-        case Op::kJmpShort: {
-          const GVirt target = insn.rel_target(op.va);
-          u.taken_va = target;
-          u.taken_idx = target_index(target, tr, j);
-          if (u.taken_idx == static_cast<u16>(j + 1)) {
-            // The chain follows this jump anyway: retire-only micro-op,
-            // with the architectural next-pc being the jump target.
-            u.kind = UOp::kNop;
-            u.fall_va = target;
-          } else {
-            u.kind = UOp::kJmp;
-          }
-          break;
-        }
-        case Op::kJz:
-        case Op::kJzNear:
-        case Op::kJnz:
-        case Op::kJnzNear:
-          u.kind = UOp::kJcc;
-          u.aux = (insn.op == Op::kJz || insn.op == Op::kJzNear) ? 1 : 0;
-          u.taken_va = insn.rel_target(op.va);
-          u.taken_idx = target_index(u.taken_va, tr, j);
-          u.fall_idx = target_index(u.fall_va, tr, j);
-          break;
-        default:
-          FC_UNREACHABLE(<< "unloweable pure op");
-      }
-    } else {
-      u.r1 = static_cast<u8>(insn.r1);
-      u.r2 = static_cast<u8>(insn.r2);
-      switch (insn.op) {
-        case Op::kPush:
-          u.kind = UOp::kPush;
-          break;
-        case Op::kPop:
-          u.kind = UOp::kPop;
-          break;
-        case Op::kLoad:
-          u.kind = UOp::kLoad;
-          u.imm = static_cast<u32>(insn.disp);
-          break;
-        case Op::kStore:
-          u.kind = UOp::kStore;
-          u.imm = static_cast<u32>(insn.disp);
-          break;
-        case Op::kLoadAbs:
-          u.kind = UOp::kLoadAbs;
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          u.imm = insn.imm;
-          break;
-        case Op::kStoreAbs:
-          u.kind = UOp::kStoreAbs;
-          u.r2 = static_cast<u8>(isa::Reg::A);
-          u.imm = insn.imm;
-          break;
-        case Op::kCall:
-          u.kind = UOp::kCall;
-          u.taken_va = insn.rel_target(op.va);
-          u.taken_idx = target_index(u.taken_va, tr, j);
-          break;
-        case Op::kRet:
-          u.kind = UOp::kRet;
-          break;
-        case Op::kLeave:
-          u.kind = UOp::kLeave;
-          break;
-        default:
-          // Environment calls, interrupt flow, masking, indirect calls, the
-          // memory-form OR: exec_insn with a full guard re-run.
-          u.kind = UOp::kSlow;
-          break;
-      }
+    MicroOp& u = tr.uops[j];
+    if (u.kind != UOp::kJmp && u.kind != UOp::kJcc && u.kind != UOp::kFused &&
+        u.kind != UOp::kCall)
+      continue;
+    u.taken_idx = target_index(u.taken_va, tr, j);
+    if (u.kind == UOp::kJcc || u.kind == UOp::kFused)
+      u.fall_idx = target_index(u.fall_va, tr, j);
+    if (u.kind == UOp::kJmp && u.taken_idx == static_cast<u16>(j + 1)) {
+      // The chain follows this jump anyway: retire-only micro-op, with the
+      // architectural next-pc being the jump target.
+      u.kind = UOp::kNop;
+      u.fall_va = u.taken_va;
     }
-    tr.uops.push_back(u);
   }
-  // Segment lengths for the batch dispatcher: seg = number of consecutive
-  // simple micro-ops starting here (see the UOp contract — everything up to
-  // kCmpImm). Computed backwards so each op sees its suffix run.
+  // seg = number of consecutive simple micro-ops starting here, computed
+  // backwards so each op sees its suffix run.
   u16 run = 0;
   for (std::size_t j = n; j-- > 0;) {
     MicroOp& u = tr.uops[j];
-    run = static_cast<u8>(u.kind) <= static_cast<u8>(UOp::kCmpImm)
-              ? static_cast<u16>(run + 1)
-              : 0;
+    run = is_simple(u.kind) ? static_cast<u16>(run + 1) : 0;
     u.seg = run;
   }
-}
-
-TraceOp make_op(const isa::Instruction& insn, GVirt va) {
-  TraceOp op;
-  op.insn = insn;
-  op.va = va;
-  op.kind = classify_op(insn);
-  return op;
-}
-
-/// Convert the previous op into a fused ALU+Jcc pair if it is the adjacent
-/// register-only ALU producing the flags this branch tests.
-bool try_fuse(TraceOp& prev, const isa::Instruction& jcc, GVirt jcc_va) {
-  if (prev.fused || !fusable_alu(prev.insn)) return false;
-  if (prev.va + prev.insn.length != jcc_va) return false;
-  prev.fused = true;
-  prev.kind = OpKind::kPure;  // both halves register-only by the checks above
-  prev.jcc = jcc;
-  prev.jcc_va = jcc_va;
-  prev.taken_va = jcc.rel_target(jcc_va);
-  prev.fall_va = jcc_va + jcc.length;
-  return true;
 }
 
 void add_constituent(Trace& tr, HostFrame frame, u32 generation) {
@@ -361,7 +139,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
   u32 at_off = offset;
   bool stop_chain = false;
   while (!stop_chain && tr.blocks < kMaxTraceBlocks &&
-         tr.ops.size() < kMaxTraceOps) {
+         tr.uops.size() < kMaxTraceOps) {
     const DecodedBlock* block = blocks.peek(at_frame, at_off);
     if (block == nullptr) break;  // chain link never decoded: trace ends
     ++tr.blocks;
@@ -373,66 +151,44 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
     bool have_successor = false;
     GVirt successor = 0;
     for (const isa::Instruction& insn : block->insns) {
-      if (tr.ops.size() >= kMaxTraceOps) {
+      if (tr.uops.size() >= kMaxTraceOps) {
         stop_chain = true;
         break;
       }
-      if (kPageSize - page_offset(cur) < isa::kMaxInstructionLength) {
+      if (in_page_tail(cur) || insn.op == Op::kUd2) {
         // The interpreter probes (and charges) the next page before
         // executing from the page-tail region; leave those instructions to
-        // the block tier, which performs that probe.
+        // the block tier, which performs that probe. Never inline the UD2
+        // trap either; the slow path raises it with exact fault-pc
+        // semantics.
         stop_chain = true;
         break;
       }
-      const GVirt next = cur + insn.length;
-      have_successor = false;
-      switch (insn.op) {
-        case Op::kJz:
-        case Op::kJnz:
-        case Op::kJzNear:
-        case Op::kJnzNear: {
-          // Backward-taken / forward-not-taken: loop back edges are
-          // predicted taken, forward exits predicted fallthrough.
-          const GVirt predicted =
-              insn.disp < 0 ? insn.rel_target(cur) : next;
-          if (!tr.ops.empty() && try_fuse(tr.ops.back(), insn, cur))
-            ++stats_.fused_built;
-          else
-            tr.ops.push_back(make_op(insn, cur));
-          successor = predicted;
-          have_successor = true;
-          break;
+      MicroOp u = lower_insn(insn, cur);
+      cur = u.fall_va;
+      successor = u.fall_va;
+      have_successor = true;
+      if (u.kind == UOp::kJcc) {
+        // Backward-taken / forward-not-taken: loop back edges are
+        // predicted taken, forward exits predicted fallthrough.
+        if (insn.disp < 0) successor = u.taken_va;
+        if (!tr.uops.empty() && try_fuse(tr.uops.back(), u)) {
+          ++stats_.fused_built;
+          continue;
         }
-        case Op::kJmp:
-        case Op::kJmpShort:
-        case Op::kCall:
-          tr.ops.push_back(make_op(insn, cur));
-          successor = insn.rel_target(cur);
-          have_successor = true;
-          break;
-        case Op::kCallTab:
-        case Op::kRet:
-        case Op::kInt:
-        case Op::kIret:
-        case Op::kHlt:
-          // Indirect or environment-driven control flow: include the op (a
-          // dispatch ending in RET still runs its body at trace speed) and
-          // end the trace where prediction ends.
-          tr.ops.push_back(make_op(insn, cur));
-          stop_chain = true;
-          break;
-        case Op::kUd2:
-          // Never inline the trap; the slow path raises it with exact
-          // fault-pc semantics.
-          stop_chain = true;
-          break;
-        default:
-          tr.ops.push_back(make_op(insn, cur));
-          successor = next;
-          have_successor = true;
-          break;
+      } else if (u.kind == UOp::kJmp || u.kind == UOp::kCall) {
+        successor = u.taken_va;
+      } else if (isa::is_control_flow(insn.op)) {
+        // Indirect or environment-driven control flow (ret, calltab, int,
+        // iret, hlt): include the op (a dispatch ending in RET still runs
+        // its body at trace speed) and end the trace where prediction ends.
+        stop_chain = true;
       }
-      cur = next;
+      if (u.kind == UOp::kSlow) {
+        u.slow_index = static_cast<u16>(tr.slow.size());
+        tr.slow.push_back(insn);
+      }
+      tr.uops.push_back(u);
       if (stop_chain) break;
     }
     if (stop_chain || !have_successor) break;
@@ -444,7 +200,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
     at_off = page_offset(successor);
   }
 
-  if (tr.ops.empty()) {
+  if (tr.uops.empty()) {
     ++stats_.build_failures;
     return nullptr;
   }
@@ -459,9 +215,9 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
     host.watch_code_frame(f);
   }
 
-  lower(tr);
+  link(tr);
 
-  [[maybe_unused]] const u32 ops = static_cast<u32>(tr.ops.size());
+  [[maybe_unused]] const u32 ops = static_cast<u32>(tr.uops.size());
   [[maybe_unused]] const u32 chained = tr.blocks;
   const u64 key = trace_key(frame, offset);
   arena_.push_back(std::move(tr));

@@ -26,14 +26,16 @@
 //     turns into an immediate side exit — the trace-tier equivalent of the
 //     block cursor's generation compare.
 //
-//   * Execution parity: every op is executed by the same Vcpu::exec_insn
-//     (or a fused handler with identical architectural and cycle effects),
-//     guarded per-op by the same bail conditions as the block-tail loop, so
-//     architectural state, cycle charging and TLB-miss counts are identical
-//     to uncached execution at every side exit. The only skipped work is
-//     translations that provably *hit* (charge-free by construction).
+//   * Execution parity: every op is lowered through the same op table and
+//     executed by the same semantic helpers as Vcpu::exec_insn, retired by
+//     the same accounting, and guarded per-op by the same predicate as the
+//     block-tail loop, so architectural state, cycle charging and TLB-miss
+//     counts are identical to uncached execution at every side exit. The
+//     only skipped work is translations that provably *hit* (charge-free by
+//     construction).
 #pragma once
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -46,46 +48,32 @@
 
 namespace fc::cpu {
 
-/// One trace element: a pre-decoded instruction plus what the dispatcher
-/// needs to run it without consulting the block table. When `fused` is set
-/// the op is an adjacent ALU+Jcc pair executed by the fused handler (the
-/// ALU in `insn`, the branch in `jcc`).
-/// Dispatcher execution class, decided at build time.
-///
-///   kPure — register-only: cannot fault, touch the MMU or environment, or
-///       change IRQ state. While every op since the last full guard pass was
-///       pure (and no IRQ was due), the per-op guard collapses to the budget
-///       compare and the op runs in the dispatcher's inline handler.
-///   kSlow — everything else. Lowering splits this class further: common
-///       data-memory ops get their own micro-ops (see UOp), the rest run
-///       through Vcpu::exec_insn with a full guard re-run.
-enum class OpKind : u8 { kSlow = 0, kPure };
-
-struct TraceOp {
-  isa::Instruction insn;  // the instruction (the ALU half when fused)
-  GVirt va = 0;           // architectural address of `insn`
-  bool fused = false;     // fused pairs are kPure by construction
-  OpKind kind = OpKind::kSlow;
-  isa::Instruction jcc;   // fused only: the branch half
-  GVirt jcc_va = 0;       // fused only: address of the branch half
-  GVirt taken_va = 0;     // fused only: branch target
-  GVirt fall_va = 0;      // fused only: fallthrough
-};
-
-/// Micro-op: the executable lowering of a TraceOp, produced once at build.
-/// Everything the dispatcher needs per op sits in one flat 32-byte record:
-/// register indices and immediates are pre-extracted, branch targets are
-/// pre-resolved to *micro-op indices* when they stay inside the trace
+/// Micro-op: the executable lowering of one instruction, produced once at
+/// build. Everything the dispatcher needs per op sits in one flat 32-byte
+/// record: register indices and immediates are pre-extracted, branch targets
+/// are pre-resolved to *micro-op indices* when they stay inside the trace
 /// (`kNoTarget` means the target leaves it), and `fall_va` always holds the
 /// architectural next-pc so the dispatcher can keep regs_.pc lazy — it only
-/// materialises the pc at side exits, trace ends, and kSlow ops, instead of
-/// storing and re-comparing it after every instruction.
+/// materialises the pc at side exits, trace ends, stores and kSlow ops,
+/// instead of storing and re-comparing it after every instruction.
+///
+/// The kinds are ordered by class, and the class boundaries are contract:
+///   simple (kNop..kCmpImm) — straight-line, register-only, retire one
+///       instruction for cost_default and never read cycles, so a run of
+///       them executes as one batch with every per-op check and all
+///       retirement accounting hoisted out (MicroOp::seg);
+///   ALU (kAddRR..kCmpImm) — the simple kinds that set ZF; these fuse with
+///       an adjacent Jcc;
+///   pure (everything before kPush) — cannot fault, touch the MMU or the
+///       environment, or change IRQ state, so the dispatcher's fast mode
+///       survives them;
+///   data-memory (kPush..kLeave) — the same MMU calls in the same order as
+///       exec_insn, including partial effects on the fault path. They cannot
+///       raise an IRQ or move a breakpoint, so fast mode survives them too,
+///       but the dispatcher re-compares the translation/code versions right
+///       after each one (a data access can fill the TLB, a store can hit a
+///       watched code frame).
 enum class UOp : u8 {
-  // "Simple" micro-ops first (everything up to and including kCmpImm, a
-  // contract MicroOp::seg and the batch dispatcher rely on): straight-line,
-  // register-only, retire one instruction for cost_default, and never read
-  // cycles — so a run of them executes as one batch with every per-op check
-  // and all retirement accounting hoisted out.
   kNop,     // no architectural effect beyond retiring (also an in-trace JMP
             // whose target is simply the next micro-op)
   kMovRR,   // gpr[r1] = gpr[r2]
@@ -97,63 +85,125 @@ enum class UOp : u8 {
   kCmpRR,   // ZF = (gpr[r1] - gpr[r2] == 0)
   kAddImm,  // gpr[r1] += imm, ZF
   kSubImm,  // gpr[r1] -= imm, ZF
+  kOrImm,   // gpr[r1] |= imm, ZF (exec_insn's memory-form OR, with the
+            // word it read; never lowered into a trace)
   kCmpImm,  // ZF = (gpr[r1] - imm == 0)
   kRdtsc,   // gpr[A]:gpr[D] = cycles (read before this op's own charge;
             // reading cycles is what keeps it out of the simple batch)
   kJmp,     // unconditional: taken_idx / taken_va
-  kJcc,     // conditional on ZF == (aux != 0): taken_* / fall_*
-  kFused,   // ALU+Jcc pair: aux low bits = FusedAlu, bit 7 = want-ZF
-  // Data-memory micro-ops: the same MMU calls in the same order as
-  // exec_insn, including partial effects on the fault path. They cannot
-  // raise an IRQ or move a breakpoint, so fast mode survives them; the
-  // dispatcher re-compares the translation/code versions right after each
-  // one instead (a data access can fill the TLB, a store can hit a watched
-  // code frame).
+  kJcc,     // conditional on ZF == (aux & kWantZf): taken_* / fall_*
+  kFused,   // ALU+Jcc pair: aux = the ALU half's kind | the Jcc's kWantZf
   kPush,    // sp -= 4; [sp] = gpr[r1] (value read before sp moves)
   kPop,     // gpr[r1] = [sp]; sp += 4 (assigned after the bump)
   kLoad,    // gpr[r1] = [gpr[r2] + imm]
   kStore,   // [gpr[r1] + imm] = gpr[r2]
   kLoadAbs,   // gpr[r1] = [imm]
   kStoreAbs,  // [imm] = gpr[r2]
+  kLeave,   // sp = fp; fp = [sp]; sp += 4
   kCall,    // sp -= 4; [sp] = fall_va; pc = taken (direct, pre-resolved)
   kRet,     // pc = [sp]; sp += 4 (dynamic landing, resolved like kSlow)
-  kLeave,   // sp = fp; fp = [sp]; sp += 4
-  kSlow,    // materialise pc, exec_insn(ops[slow_index].insn), full guard
+  kSlow,    // materialise pc, exec_insn(slow[slow_index]), full guard
 };
 
-/// ALU variant of a fused pair (aux & 0x7F). Imm forms carry the register
-/// (always A today) in r1 so the handler is uniform.
-enum class FusedAlu : u8 {
-  kAddRR,
-  kSubRR,
-  kXorRR,
-  kOrRR,
-  kCmpRR,
-  kAddImm,
-  kSubImm,
-  kCmpImm,
-};
+constexpr bool is_simple(UOp k) { return k <= UOp::kCmpImm; }
+constexpr bool is_alu(UOp k) { return k >= UOp::kAddRR && k <= UOp::kCmpImm; }
+constexpr bool is_data_memory(UOp k) {
+  return k >= UOp::kPush && k <= UOp::kLeave;
+}
 
 constexpr u16 kNoTarget = 0xFFFF;  // branch target leaves the trace
+constexpr u8 kWantZf = 0x80;       // aux: a Jcc (or fused pair) that is
+                                   // taken when ZF is set
 
 struct MicroOp {
   UOp kind = UOp::kSlow;
   u8 r1 = 0;            // destination gpr index
   u8 r2 = 0;            // source gpr index
-  u8 aux = 0;           // kJcc: want-ZF; kFused: FusedAlu | want-ZF << 7
-  u32 imm = 0;          // immediate operand
+  u8 aux = 0;           // kJcc: kWantZf; kFused: ALU kind | kWantZf
+  u32 imm = 0;          // immediate operand (the displacement for kLoad /
+                        // kStore, the address for kLoadAbs / kStoreAbs)
   GVirt va = 0;         // architectural address (guard + lazy-pc exits)
   GVirt jcc_va = 0;     // kFused: address of the branch half
-  GVirt taken_va = 0;   // branch target (kJmp/kJcc/kFused)
+  GVirt taken_va = 0;   // branch / call target (kJmp/kJcc/kFused/kCall)
   GVirt fall_va = 0;    // architectural next-pc (branch fallthrough; for
                         // straight-line ops the successor, for completion)
   u16 taken_idx = kNoTarget;  // in-trace micro-op index of taken_va
   u16 fall_idx = kNoTarget;   // in-trace micro-op index of fall_va
-  u16 slow_index = 0;         // kSlow: index into Trace::ops
+  u16 slow_index = 0;         // kSlow: index into Trace::slow
   u16 seg = 0;                // length of the simple straight-line run
                               // starting here (0 for non-simple ops)
 };
 static_assert(sizeof(MicroOp) == 32, "dispatch stride");
+
+/// Per-op lowering facts, indexed by isa::Op: the one table every tier
+/// reads. Ops without an entry lower to kSlow and run through
+/// Vcpu::exec_insn's own switch (environment calls, interrupt flow,
+/// masking, indirect calls, UD2).
+struct OpInfo {
+  UOp uop = UOp::kSlow;
+  u8 implicit_a = 0;  // kAIsR1 / kAIsR2: that operand is register A
+  u8 aux = 0;         // kJcc: kWantZf for the jz forms
+};
+constexpr u8 kAIsR1 = 1;
+constexpr u8 kAIsR2 = 2;
+
+inline constexpr auto kOpTable = [] {
+  using isa::Op;
+  std::array<OpInfo, static_cast<std::size_t>(Op::kRdtsc) + 1> t{};
+  auto set = [&t](Op op, UOp uop, u8 implicit_a = 0, u8 aux = 0) {
+    t[static_cast<std::size_t>(op)] = {uop, implicit_a, aux};
+  };
+  set(Op::kNop, UOp::kNop);
+  set(Op::kMovRR, UOp::kMovRR);
+  set(Op::kMovImm, UOp::kMovImm);
+  set(Op::kAdd, UOp::kAddRR);
+  set(Op::kSub, UOp::kSubRR);
+  set(Op::kXor, UOp::kXorRR);
+  set(Op::kOr, UOp::kOrRR);  // register form; see lower_insn
+  set(Op::kCmp, UOp::kCmpRR);
+  set(Op::kAddImmA, UOp::kAddImm, kAIsR1);
+  set(Op::kSubImmA, UOp::kSubImm, kAIsR1);
+  set(Op::kCmpImmA, UOp::kCmpImm, kAIsR1);
+  set(Op::kRdtsc, UOp::kRdtsc);
+  set(Op::kJmp, UOp::kJmp);
+  set(Op::kJmpShort, UOp::kJmp);
+  set(Op::kJz, UOp::kJcc, 0, kWantZf);
+  set(Op::kJzNear, UOp::kJcc, 0, kWantZf);
+  set(Op::kJnz, UOp::kJcc);
+  set(Op::kJnzNear, UOp::kJcc);
+  set(Op::kPush, UOp::kPush);
+  set(Op::kPop, UOp::kPop);
+  set(Op::kLoad, UOp::kLoad);
+  set(Op::kStore, UOp::kStore);
+  set(Op::kLoadAbs, UOp::kLoadAbs, kAIsR1);
+  set(Op::kStoreAbs, UOp::kStoreAbs, kAIsR2);
+  set(Op::kLeave, UOp::kLeave);
+  set(Op::kCall, UOp::kCall);
+  set(Op::kRet, UOp::kRet);
+  return t;
+}();
+
+/// Lower one instruction at `va` through kOpTable, with no trace context
+/// (branch indices stay kNoTarget). Vcpu::exec_insn executes this record
+/// directly; the trace builder adds fusion and in-trace branch resolution
+/// on top.
+inline MicroOp lower_insn(const isa::Instruction& insn, GVirt va) {
+  const OpInfo& info = kOpTable[static_cast<std::size_t>(insn.op)];
+  MicroOp u;
+  // The memory form of OR (the misinterpreted 0B 0F pair) reads through the
+  // MMU with no fault path: exec_insn's own case.
+  u.kind = insn.op == isa::Op::kOr && insn.disp != 0 ? UOp::kSlow : info.uop;
+  u.r1 = static_cast<u8>(info.implicit_a == kAIsR1 ? isa::Reg::A : insn.r1);
+  u.r2 = static_cast<u8>(info.implicit_a == kAIsR2 ? isa::Reg::A : insn.r2);
+  u.aux = info.aux;
+  u.imm = u.kind == UOp::kLoad || u.kind == UOp::kStore
+              ? static_cast<u32>(insn.disp)
+              : insn.imm;
+  u.va = va;
+  u.taken_va = insn.rel_target(va);
+  u.fall_va = va + insn.length;
+  return u;
+}
 
 struct Trace {
   HostFrame frame = 0;  // entry frame (lookup key, post-EPT)
@@ -161,8 +211,8 @@ struct Trace {
   GVirt entry_va = 0;
   bool live = true;     // false once lazily retired (slot reusable in place)
   u32 blocks = 0;       // decoded blocks chained in
-  std::vector<TraceOp> ops;
-  std::vector<MicroOp> uops;  // 1:1 lowering of ops (same indices)
+  std::vector<MicroOp> uops;
+  std::vector<isa::Instruction> slow;  // kSlow ops' instructions
   // (frame, generation) per constituent frame: one compare each at dispatch.
   std::vector<std::pair<HostFrame, u32>> constituents;
   // Non-entry code pages the trace executes through, as (vpage, expected

@@ -164,8 +164,143 @@ Exit Vcpu::step(u64 misses_before) {
   return exec_insn(*fetched, misses_before);
 }
 
-Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
+// ---------------------------------------------------------------------------
+// Instruction semantics. exec_insn (the uncached and block tiers), the trace
+// dispatcher's per-op path, its batched simple segments and the ALU half of
+// a fused pair all execute these same helpers on the same kOpTable
+// lowering; the tiers differ only in dispatch and in how retire() is
+// called (per op, or once per batch).
+// ---------------------------------------------------------------------------
+
+void Vcpu::exec_simple(UOp kind, u8 r1, u8 r2, u32 imm) {
+  u32& dst = regs_.gpr[r1];
+  u32 result = 0;
+  switch (kind) {
+    case UOp::kNop:
+      return;
+    case UOp::kMovRR:
+      dst = regs_.gpr[r2];
+      return;
+    case UOp::kMovImm:
+      dst = imm;
+      return;
+    case UOp::kAddRR:
+      result = (dst += regs_.gpr[r2]);
+      break;
+    case UOp::kSubRR:
+      result = (dst -= regs_.gpr[r2]);
+      break;
+    case UOp::kXorRR:
+      result = (dst ^= regs_.gpr[r2]);
+      break;
+    case UOp::kOrRR:
+      result = (dst |= regs_.gpr[r2]);
+      break;
+    case UOp::kCmpRR:
+      result = dst - regs_.gpr[r2];
+      break;
+    case UOp::kAddImm:
+      result = (dst += imm);
+      break;
+    case UOp::kSubImm:
+      result = (dst -= imm);
+      break;
+    case UOp::kOrImm:
+      result = (dst |= imm);
+      break;
+    case UOp::kCmpImm:
+      result = dst - imm;
+      break;
+    default:
+      FC_UNREACHABLE(<< "not a simple micro-op");
+  }
+  regs_.zf = (result == 0);
+}
+
+void Vcpu::rdtsc() {
+  // Reads cycles_ before this instruction's own cost is charged.
+  regs_[Reg::A] = static_cast<u32>(cycles_);
+  regs_[Reg::D] = static_cast<u32>(cycles_ >> 32);
+}
+
+// Guest-controlled addresses: a miss is a guest fault (the instruction is
+// abandoned mid-way; faulting guests are killed, so partial effects such as
+// a push's moved SP are left as they fall), never a simulator abort.
+bool Vcpu::push(u32 value) {
+  regs_[Reg::SP] -= 4;
+  return machine_->mmu().try_write32(regs_[Reg::SP], value);
+}
+
+bool Vcpu::pop(u32& out) {
+  auto value = machine_->mmu().try_read32(regs_[Reg::SP]);
+  if (!value) return false;
+  regs_[Reg::SP] += 4;
+  out = *value;  // after the bump: `pop sp` keeps the popped value
+  return true;
+}
+
+bool Vcpu::load(u32& out, u32 addr) {
+  auto value = machine_->mmu().try_read32(addr);
+  if (!value) return false;
+  out = *value;
+  return true;
+}
+
+bool Vcpu::exec_mem(const MicroOp& u) {
+  switch (u.kind) {
+    case UOp::kPush:
+      return push(regs_.gpr[u.r1]);
+    case UOp::kPop:
+      return pop(regs_.gpr[u.r1]);
+    case UOp::kLoad:
+      return load(regs_.gpr[u.r1], regs_.gpr[u.r2] + u.imm);
+    case UOp::kLoadAbs:
+      return load(regs_.gpr[u.r1], u.imm);
+    case UOp::kStore:
+    case UOp::kStoreAbs:
+      // Materialise the architectural pc before the store reaches memory:
+      // data-frame write sinks attribute the store to the executing
+      // instruction, and the trace tier's pc is otherwise lazy.
+      regs_.pc = u.va;
+      return machine_->mmu().try_write32(
+          (u.kind == UOp::kStore ? regs_.gpr[u.r1] : 0) + u.imm,
+          regs_.gpr[u.r2]);
+    case UOp::kLeave:
+      regs_[Reg::SP] = regs_[Reg::FP];  // before the read
+      return pop(regs_[Reg::FP]);
+    default:
+      FC_UNREACHABLE(<< "not a data-memory micro-op");
+  }
+}
+
+Exit Vcpu::data_fault(GVirt pc) {
+  end_block(pc);
+  regs_.pc = pc;
+  return {ExitReason::kFetchFault, pc};
+}
+
+u64 Vcpu::retire(u32 cost, u64 miss_baseline, u64 count) {
+  const u64 misses = machine_->mmu().stats().tlb_misses;
+  instructions_ += count;
+  cycles_ += count * cost + (misses - miss_baseline) * perf_.cost_tlb_walk;
+  return misses;
+}
+
+u8 Vcpu::guard(GVirt pc, const Versions& since) {
+  if ((deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
+      (pending_irqs_ != 0 && regs_.interrupts_enabled))
+    return TraceCache::kExitIrq;
+  if (pc == suppress_bp_at_ || (!breakpoints_.empty() && has_breakpoint(pc)))
+    return TraceCache::kExitBreakpoint;
   mem::Mmu& mmu = machine_->mmu();
+  if (mmu.fill_version() != since.fill || mmu.ept().generation() != since.ept)
+    return TraceCache::kExitTranslation;
+  if (trace_cache_.write_epoch() != since.epoch)
+    return TraceCache::kExitCodeWrite;
+  return 0;
+}
+
+Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
   if (insn.op == Op::kUd2) {
     end_block(regs_.pc);
     return {ExitReason::kInvalidOpcode, regs_.pc};
@@ -192,246 +327,151 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
 
   const GVirt pc = regs_.pc;
   const GVirt next = pc + insn.length;
+  const MicroOp u = lower_insn(insn, pc);
   u32 cost = perf_.cost_default;
   Exit pending_exit{ExitReason::kNone, 0};
 
-  auto set_zf = [&](u32 result) { regs_.zf = (result == 0); };
-  // Guest-controlled addresses: a miss is a guest fault (the instruction is
-  // abandoned mid-way; faulting guests are killed, so partial effects are
-  // irrelevant), never a simulator abort.
-  struct GuestDataFault {};
-  auto read32 = [&](u32 va) -> u32 {
-    auto value = mmu.try_read32(va);
-    if (!value) throw GuestDataFault{};
-    return *value;
-  };
-  auto write32 = [&](u32 va, u32 value) {
-    if (!mmu.try_write32(va, value)) throw GuestDataFault{};
-  };
-  auto push32 = [&](u32 value) {
-    regs_[Reg::SP] -= 4;
-    write32(regs_[Reg::SP], value);
-  };
-  auto pop32 = [&]() {
-    u32 value = read32(regs_[Reg::SP]);
-    regs_[Reg::SP] += 4;
-    return value;
-  };
-
-  try {
-  switch (insn.op) {
-    case Op::kNop:
+  switch (u.kind) {
+    case UOp::kRdtsc:
+      rdtsc();
       regs_.pc = next;
       break;
-    case Op::kPush:
-      push32(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kPop:
-      regs_[insn.r1] = pop32();
-      regs_.pc = next;
-      break;
-    case Op::kMovRR:
-      regs_[insn.r1] = regs_[insn.r2];
-      regs_.pc = next;
-      break;
-    case Op::kMovImm:
-      regs_[insn.r1] = insn.imm;
-      regs_.pc = next;
-      break;
-    case Op::kLoad:
-      regs_[insn.r1] = read32(regs_[insn.r2] + static_cast<u32>(insn.disp));
-      regs_.pc = next;
-      break;
-    case Op::kStore:
-      write32(regs_[insn.r1] + static_cast<u32>(insn.disp), regs_[insn.r2]);
-      regs_.pc = next;
-      break;
-    case Op::kLoadAbs:
-      regs_[Reg::A] = read32(insn.imm);
-      regs_.pc = next;
-      break;
-    case Op::kStoreAbs:
-      write32(insn.imm, regs_[Reg::A]);
-      regs_.pc = next;
-      break;
-    case Op::kAdd:
-      regs_[insn.r1] += regs_[insn.r2];
-      set_zf(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kSub:
-      regs_[insn.r1] -= regs_[insn.r2];
-      set_zf(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kXor:
-      regs_[insn.r1] ^= regs_[insn.r2];
-      set_zf(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kOr:
-      if (insn.disp != 0) {
-        // Memory form (the misinterpreted 0B 0F pair lands here): read
-        // through the MMU if mapped, else "read" garbage — either way the
-        // guest keeps running wrongly instead of trapping, which is the
-        // exact hazard instant recovery exists to prevent.
-        u32 addr = regs_[insn.r2];
-        auto frame = mmu.translate_page(page_base(addr));
-        u32 value = frame.has_value() && page_offset(addr) + 4 <= kPageSize
-                        ? machine_->host().read32(*frame, page_offset(addr))
-                        : 0xFFFFFFFFu;
-        regs_[insn.r1] |= value;
-      } else {
-        regs_[insn.r1] |= regs_[insn.r2];
-      }
-      set_zf(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kCmp:
-      set_zf(regs_[insn.r1] - regs_[insn.r2]);
-      regs_.pc = next;
-      break;
-    case Op::kCmpImmA:
-      set_zf(regs_[Reg::A] - insn.imm);
-      regs_.pc = next;
-      break;
-    case Op::kAddImmA:
-      regs_[Reg::A] += insn.imm;
-      set_zf(regs_[Reg::A]);
-      regs_.pc = next;
-      break;
-    case Op::kSubImmA:
-      regs_[Reg::A] -= insn.imm;
-      set_zf(regs_[Reg::A]);
-      regs_.pc = next;
-      break;
-    case Op::kCall:
-      push32(next);
+    case UOp::kJmp:
       end_block(next);
-      regs_.pc = insn.rel_target(pc);
+      regs_.pc = u.taken_va;
+      break;
+    case UOp::kJcc:
+      end_block(next);
+      regs_.pc = regs_.zf == ((u.aux & kWantZf) != 0) ? u.taken_va : next;
+      break;
+    case UOp::kCall:
+      if (!push(next)) return data_fault(pc);
+      end_block(next);
+      regs_.pc = u.taken_va;
       cost = perf_.cost_call;
       break;
-    case Op::kCallTab: {
-      u32 slot = insn.imm + regs_[Reg::A] * 4;
-      GVirt target = read32(slot);
-      push32(next);
+    case UOp::kRet: {
       end_block(next);
+      u32 target = 0;
+      if (!pop(target)) return data_fault(pc);
       regs_.pc = target;
-      cost = perf_.cost_call;
-      break;
-    }
-    case Op::kRet:
-      end_block(next);
-      regs_.pc = pop32();
       cost = perf_.cost_ret;
       break;
-    case Op::kLeave:
-      regs_[Reg::SP] = regs_[Reg::FP];
-      regs_[Reg::FP] = pop32();
+    }
+    case UOp::kPush:
+    case UOp::kPop:
+    case UOp::kLoad:
+    case UOp::kStore:
+    case UOp::kLoadAbs:
+    case UOp::kStoreAbs:
+    case UOp::kLeave:
+      if (!exec_mem(u)) return data_fault(pc);
       regs_.pc = next;
       break;
-    case Op::kJmp:
-    case Op::kJmpShort:
-      end_block(next);
-      regs_.pc = insn.rel_target(pc);
-      break;
-    case Op::kJz:
-    case Op::kJzNear:
-      end_block(next);
-      regs_.pc = regs_.zf ? insn.rel_target(pc) : next;
-      break;
-    case Op::kJnz:
-    case Op::kJnzNear:
-      end_block(next);
-      regs_.pc = !regs_.zf ? insn.rel_target(pc) : next;
-      break;
-    case Op::kInt:
-      regs_.pc = next;  // return address is the next instruction
-      if (!deliver_interrupt(static_cast<u8>(insn.imm), /*hardware=*/false)) {
-        // No handler: fault the guest at the INT itself.
-        regs_.pc = pc;
-        end_block(pc);
-        pending_exit = {ExitReason::kInvalidOpcode, pc};
+    case UOp::kSlow:
+      switch (insn.op) {
+        case Op::kOr: {
+          // Memory form (the misinterpreted 0B 0F pair lands here): read
+          // through the MMU if mapped, else "read" garbage — either way the
+          // guest keeps running wrongly instead of trapping, which is the
+          // exact hazard instant recovery exists to prevent.
+          u32 addr = regs_[insn.r2];
+          auto frame = machine_->mmu().translate_page(page_base(addr));
+          u32 value = frame.has_value() && page_offset(addr) + 4 <= kPageSize
+                          ? machine_->host().read32(*frame, page_offset(addr))
+                          : 0xFFFFFFFFu;
+          exec_simple(UOp::kOrImm, u.r1, u.r2, value);
+          regs_.pc = next;
+          break;
+        }
+        case Op::kCallTab: {
+          u32 target = 0;
+          if (!load(target, insn.imm + regs_[Reg::A] * 4) || !push(next))
+            return data_fault(pc);
+          end_block(next);
+          regs_.pc = target;
+          cost = perf_.cost_call;
+          break;
+        }
+        case Op::kInt:
+          regs_.pc = next;  // return address is the next instruction
+          if (!deliver_interrupt(static_cast<u8>(insn.imm),
+                                 /*hardware=*/false)) {
+            // No handler: fault the guest at the INT itself.
+            regs_.pc = pc;
+            end_block(pc);
+            pending_exit = {ExitReason::kInvalidOpcode, pc};
+          }
+          cost = 0;  // deliver_interrupt charged cost_int
+          break;
+        case Op::kIret: {
+          end_block(next);
+          u32 ret_pc = 0, saved_sp = 0, flags = 0;
+          if (!pop(ret_pc) || !pop(saved_sp) || !pop(flags))
+            return data_fault(pc);
+          regs_.pc = ret_pc;
+          regs_[Reg::SP] = saved_sp;
+          regs_.zf = FlagsWord::zf(flags);
+          regs_.interrupts_enabled = FlagsWord::interrupts(flags);
+          regs_.mode = FlagsWord::mode(flags);
+          cost = perf_.cost_iret;
+          break;
+        }
+        case Op::kPusha: {
+          // x86 order: eax, ecx, edx, ebx, original esp, ebp, esi, edi.
+          const u32 original_sp = regs_[Reg::SP];
+          for (int r = 0; r < isa::kNumRegs; ++r)
+            if (!push(r == 4 ? original_sp : regs_.gpr[r]))
+              return data_fault(pc);
+          regs_.pc = next;
+          break;
+        }
+        case Op::kPopa:
+          for (int r = isa::kNumRegs - 1; r >= 0; --r) {
+            u32 value = 0;
+            if (!pop(value)) return data_fault(pc);
+            if (r != 4) regs_.gpr[r] = value;  // saved ESP is discarded
+          }
+          regs_.pc = next;
+          break;
+        case Op::kCli:
+          regs_.interrupts_enabled = false;
+          regs_.pc = next;
+          break;
+        case Op::kSti:
+          regs_.interrupts_enabled = true;
+          regs_.pc = next;
+          break;
+        case Op::kHlt: {
+          end_block(next);
+          regs_.pc = next;
+          cost = perf_.cost_hlt;
+          bool progressed = (env_ != nullptr) && env_->on_idle(*this);
+          if (!progressed) pending_exit = {ExitReason::kHalt, next};
+          break;
+        }
+        case Op::kKsvc:
+          regs_.pc = next;
+          cost = perf_.cost_ksvc;
+          FC_CHECK(env_ != nullptr, << "KSVC with no environment");
+          env_->on_ksvc(static_cast<u16>(insn.imm), *this);
+          break;
+        case Op::kAppStep:
+          regs_.pc = next;
+          FC_CHECK(env_ != nullptr, << "APPSTEP with no environment");
+          env_->on_app_step(*this);
+          break;
+        default:
+          FC_UNREACHABLE(<< "op has a micro-op lowering");
       }
-      cost = 0;  // deliver_interrupt charged cost_int
       break;
-    case Op::kIret: {
-      end_block(next);
-      u32 ret_pc = pop32();
-      u32 saved_sp = pop32();
-      u32 flags = pop32();
-      regs_.pc = ret_pc;
-      regs_[Reg::SP] = saved_sp;
-      regs_.zf = FlagsWord::zf(flags);
-      regs_.interrupts_enabled = FlagsWord::interrupts(flags);
-      regs_.mode = FlagsWord::mode(flags);
-      cost = perf_.cost_iret;
-      break;
-    }
-    case Op::kPusha: {
-      // x86 order: eax, ecx, edx, ebx, original esp, ebp, esi, edi.
-      u32 original_sp = regs_[Reg::SP];
-      for (int r = 0; r < isa::kNumRegs; ++r) {
-        u32 value = (r == 4) ? original_sp : regs_.gpr[r];
-        push32(value);
-      }
+    default:
+      exec_simple(u.kind, u.r1, u.r2, u.imm);
       regs_.pc = next;
       break;
-    }
-    case Op::kPopa: {
-      for (int r = isa::kNumRegs - 1; r >= 0; --r) {
-        u32 value = pop32();
-        if (r != 4) regs_.gpr[r] = value;  // saved ESP is discarded
-      }
-      regs_.pc = next;
-      break;
-    }
-    case Op::kCli:
-      regs_.interrupts_enabled = false;
-      regs_.pc = next;
-      break;
-    case Op::kSti:
-      regs_.interrupts_enabled = true;
-      regs_.pc = next;
-      break;
-    case Op::kHlt: {
-      end_block(next);
-      regs_.pc = next;
-      cost = perf_.cost_hlt;
-      bool progressed = (env_ != nullptr) && env_->on_idle(*this);
-      if (!progressed) pending_exit = {ExitReason::kHalt, next};
-      break;
-    }
-    case Op::kKsvc:
-      regs_.pc = next;
-      cost = perf_.cost_ksvc;
-      FC_CHECK(env_ != nullptr, << "KSVC with no environment");
-      env_->on_ksvc(static_cast<u16>(insn.imm), *this);
-      break;
-    case Op::kAppStep:
-      regs_.pc = next;
-      FC_CHECK(env_ != nullptr, << "APPSTEP with no environment");
-      env_->on_app_step(*this);
-      break;
-    case Op::kRdtsc:
-      regs_[Reg::A] = static_cast<u32>(cycles_);
-      regs_[Reg::D] = static_cast<u32>(cycles_ >> 32);
-      regs_.pc = next;
-      break;
-    case Op::kUd2:
-      FC_UNREACHABLE(<< "UD2 handled above");
-  }
-  } catch (const GuestDataFault&) {
-    end_block(pc);
-    regs_.pc = pc;
-    return {ExitReason::kFetchFault, pc};
   }
 
-  ++instructions_;
-  cycles_ += cost;
-  cycles_ +=
-      (mmu.stats().tlb_misses - misses_before) * perf_.cost_tlb_walk;
+  retire(cost, misses_before);
   // Follow straight-line execution within the cached block (no-op when the
   // instruction came from the slow path). Early-exit returns above leave the
   // cursor parked on the un-retired instruction, which is exactly right: a
@@ -450,18 +490,16 @@ Exit Vcpu::run_cached_tail(u64 budget_end) {
   while (instructions_ < budget_end) {
     const GVirt pc = regs_.pc;
     // Anything that could alter behaviour sends us back to step(), which
-    // handles it exactly as the uncached interpreter would: IRQ release /
-    // delivery, breakpoints, a changed TLB or EPT (the code-page
-    // translation may now miss and must be re-run and charged), and the
-    // page-tail region where the slow path would probe the next page.
-    if (deferred_irqs_ != 0 && cycles_ >= irq_release_at_) break;
-    if (pending_irqs_ != 0 && regs_.interrupts_enabled) break;
-    if (pc == suppress_bp_at_) break;
-    if (!breakpoints_.empty() && has_breakpoint(pc)) break;
-    if (mmu.fill_version() != fetch_tlb_version_ ||
-        mmu.ept().generation() != fetch_ept_gen_)
+    // handles it exactly as the uncached interpreter would: the guard's
+    // IRQ / breakpoint conditions, a changed TLB or EPT since the last
+    // cached_fetch (the code-page translation may now miss and must be
+    // re-run and charged), and the page-tail region where the slow path
+    // would probe the next page. Code writes are the cursor's own
+    // generation compare here, so the write epoch is passed through.
+    if (in_page_tail(pc) ||
+        guard(pc, {fetch_tlb_version_, fetch_ept_gen_,
+                   trace_cache_.write_epoch()}) != 0)
       break;
-    if (kPageSize - page_offset(pc) < isa::kMaxInstructionLength) break;
     const isa::Instruction* insn = block_cache_.cursor_insn(pc);
     if (insn == nullptr) break;
     Exit exit = exec_insn(*insn, mmu.stats().tlb_misses);
@@ -481,27 +519,15 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
   // condition exactly as if this tier did not exist.
   for (;;) {
     const GVirt pc = regs_.pc;
-    // The walk-charge baseline for the next retired instruction: predates
-    // this iteration's entry translate, so a probe miss from a dispatch
-    // that then declines still reaches step() (via *misses_io) uncharged
-    // exactly once.
-    const u64 misses_before = *misses_io;
     // Once a chained dispatch has retired instructions, declines must report
     // kNone at the current pc (run() resumes with step); before any dispatch
-    // the caller ignores the value.
-    if (instructions_ >= budget_end) return {ExitReason::kNone, pc};
-    // Anything the step() preamble would handle first declines the dispatch:
-    // step() re-evaluates the identical conditions on identical state.
-    // Likewise the page-tail fetch region, where the slow path probes the
-    // next page.
-    if (deferred_irqs_ != 0 && cycles_ >= irq_release_at_)
-      return {ExitReason::kNone, pc};
-    if (pending_irqs_ != 0 && regs_.interrupts_enabled)
-      return {ExitReason::kNone, pc};
-    if (pc == suppress_bp_at_) return {ExitReason::kNone, pc};
-    if (!breakpoints_.empty() && has_breakpoint(pc))
-      return {ExitReason::kNone, pc};
-    if (kPageSize - page_offset(pc) < isa::kMaxInstructionLength)
+    // the caller ignores the value. Anything the step() preamble would
+    // handle first declines the dispatch: step() re-evaluates the identical
+    // conditions on identical state (nothing is hoisted yet, so the guard's
+    // version compares cannot fire). Likewise the page-tail fetch region,
+    // where the slow path probes the next page.
+    if (instructions_ >= budget_end || in_page_tail(pc) ||
+        guard(pc, versions()) != 0)
       return {ExitReason::kNone, pc};
 
     auto frame = mmu.translate_page(page_base(pc));
@@ -532,508 +558,223 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
     trace_cache_.note_dispatch(*tr);
     block_cache_.drop_cursor();
     exec_tier_ = kTierTrace;  // kSlow ops run through exec_insn
-    // Snapshots the per-op guards revalidate: while none of these move, every
-    // translation the trace skips (block boundaries, the self-loop re-entry)
-    // would provably hit, and no code byte under the trace has changed.
-    const u64 entry_fill = mmu.fill_version();
-    const u64 entry_ept = mmu.ept().generation();
-    const u64 entry_epoch = trace_cache_.write_epoch();
-    const TraceOp* ops = tr->ops.data();
-    const MicroOp* uops = tr->uops.data();
-    const std::size_t n = tr->uops.size();
-    const GVirt entry_va = tr->entry_va;
-    u32 executed = 0;
-    std::size_t i = 0;
-    // While `fast` holds and cycles_ stays below `fast_until`, every guard
-    // except the budget compare is provably quiescent: the last full pass saw
-    // no deliverable IRQ, no breakpoints and no armed suppress-once, and every
-    // op executed since was pure (register-only — cannot fill the TLB, write
-    // code bytes, call the environment, or raise/unmask an IRQ). The only
-    // guard input pure ops do advance is cycles_, which matters exactly when a
-    // deferred IRQ's release time is crossed — hence the cycle bound instead
-    // of a per-op re-test. Only a non-pure op can disturb the rest, and
-    // executing one clears the flag.
-    bool fast = false;
-    u64 fast_until = 0;
-    // regs_.pc stays lazy inside the dispatch: straight-line micro-ops and
-    // in-trace branches never store it (the micro-op index tracks it), and
-    // every exit path materialises the architectural pc from the micro-op
-    // record before anything can observe it.
-    while (true) {
-      const MicroOp& u = uops[i];
-      if (instructions_ >= budget_end) {
-        regs_.pc = u.va;
-        trace_cache_.note_side_exit(TraceCache::kExitBudget, regs_.pc,
-                                    executed);
-        // Past the first op every retired instruction charged its own walk
-        // delta, so the caller's next baseline is "now". With nothing
-        // retired the entry baseline still stands (the entry translate's
-        // miss, if any, is charged by whoever executes the first op).
-        if (executed != 0) *misses_io = mmu.stats().tlb_misses;
-        return {ExitReason::kNone, regs_.pc};
-      }
-      if (fast && cycles_ >= fast_until) fast = false;
-      if (!fast) {
-        // Pending sample first: fast mode parks on this boundary (fast_until
-        // is clamped to sample_at_ below), so the sample fires here with
-        // trace-tier attribution before the guard can side-exit.
-        if (cycles_ >= sample_at_) take_sample(u.va, kTierTrace);
-        // The same bail set as run_cached_tail, applied before the op (and
-        // between the halves of a fused pair): side exits hand the
-        // architectural state to the block tier exactly as uncached execution
-        // would see it.
-        u8 guard = 0;
-        if ((deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
-            (pending_irqs_ != 0 && regs_.interrupts_enabled)) {
-          guard = TraceCache::kExitIrq;
-        } else if (u.va == suppress_bp_at_ ||
-                   (!breakpoints_.empty() && has_breakpoint(u.va))) {
-          guard = TraceCache::kExitBreakpoint;
-        } else if (mmu.fill_version() != entry_fill ||
-                   mmu.ept().generation() != entry_ept) {
-          guard = TraceCache::kExitTranslation;
-        } else if (trace_cache_.write_epoch() != entry_epoch) {
-          guard = TraceCache::kExitCodeWrite;
-        }
-        if (guard != 0) {
-          regs_.pc = u.va;
-          trace_cache_.note_side_exit(guard, regs_.pc, executed);
-          if (executed != 0) *misses_io = mmu.stats().tlb_misses;
-          return {ExitReason::kNone, regs_.pc};
-        }
-        // Pending-but-masked IRQs stay undeliverable across pure ops; a
-        // deferred IRQ is handled by the cycle bound.
-        fast = breakpoints_.empty() && suppress_bp_at_ == 0xFFFFFFFFu &&
-               !(pending_irqs_ != 0 && regs_.interrupts_enabled);
-        fast_until =
-            deferred_irqs_ != 0 ? irq_release_at_ : ~static_cast<u64>(0);
-        // Sampling bound: fast mode must stop at the next sample boundary so
-        // the profiler fires there (sample_at_ > cycles_ after the take_sample
-        // above; ~0 when detached, making this a no-op).
-        if (sample_at_ < fast_until) fast_until = sample_at_;
-      }
-      if (fast && u.seg > 1) {
-        // Straight-line simple run: every op in it retires one instruction
-        // for cost_default, cannot fault, never reads cycles_, and cannot
-        // disturb any guard input — so the per-op budget/guard checks and
-        // the retirement accounting hoist out of the loop entirely. The
-        // batch is clamped so it stops at exactly the op boundary where
-        // per-op execution would have re-checked the budget or crossed the
-        // deferred-IRQ release cycle (fast implies cycles_ < fast_until and
-        // the loop-top check implies at least one instruction of budget, so
-        // len >= 1 and at least one op retires).
-        const u32 cd = perf_.cost_default != 0 ? perf_.cost_default : 1;
-        u64 len = u.seg;
-        if (budget_end - instructions_ < len) len = budget_end - instructions_;
-        const u64 by_cycles = (fast_until - cycles_ - 1) / cd + 1;
-        if (by_cycles < len) len = by_cycles;
-        if (executed == 0)
-          cycles_ +=
-              (mmu.stats().tlb_misses - misses_before) * perf_.cost_tlb_walk;
-        const std::size_t stop = i + static_cast<std::size_t>(len);
-        for (std::size_t e = i; e < stop; ++e) {
-          const MicroOp& v = uops[e];
-          switch (v.kind) {
-            case UOp::kNop:
-              break;
-            case UOp::kMovRR:
-              regs_.gpr[v.r1] = regs_.gpr[v.r2];
-              break;
-            case UOp::kMovImm:
-              regs_.gpr[v.r1] = v.imm;
-              break;
-            case UOp::kAddRR:
-              regs_.zf = (regs_.gpr[v.r1] += regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kSubRR:
-              regs_.zf = (regs_.gpr[v.r1] -= regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kXorRR:
-              regs_.zf = (regs_.gpr[v.r1] ^= regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kOrRR:
-              regs_.zf = (regs_.gpr[v.r1] |= regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kCmpRR:
-              regs_.zf = (regs_.gpr[v.r1] - regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kAddImm:
-              regs_.zf = (regs_.gpr[v.r1] += v.imm) == 0;
-              break;
-            case UOp::kSubImm:
-              regs_.zf = (regs_.gpr[v.r1] -= v.imm) == 0;
-              break;
-            case UOp::kCmpImm:
-              regs_.zf = (regs_.gpr[v.r1] - v.imm) == 0;
-              break;
-            default:
-              FC_UNREACHABLE(<< "non-simple micro-op inside a segment");
-          }
-        }
-        instructions_ += len;
-        cycles_ += len * perf_.cost_default;
-        executed += static_cast<u32>(len);
-        i = stop;
-        if (i == n) {
-          // The segment reached the end of the trace (a trace only ends on a
-          // simple op when the op or block cap cut it mid-block).
-          regs_.pc = uops[n - 1].fall_va;
-          trace_cache_.note_completion(executed);
-          break;  // chain: try to dispatch at the landing pc
-        }
-        continue;
-      }
-      // Micro-op execution. Architectural and cycle effects mirror exec_insn
-      // case by case (ZF rules, rdtsc reading cycles_ before its own charge,
-      // cost_default per retired instruction, the first op carrying the
-      // entry-translate walk delta); branch targets were resolved to
-      // micro-op indices at build, so staying on the predicted chain is an
-      // index assignment, not a pc compare.
-      u64 m0;        // mem micro-ops: walk-charge baseline for this op
-      u32 mem_cost;  // mem micro-ops: cost (default / call / ret)
-      switch (u.kind) {
-        case UOp::kNop:
-          break;
-        case UOp::kMovRR:
-          regs_.gpr[u.r1] = regs_.gpr[u.r2];
-          break;
-        case UOp::kMovImm:
-          regs_.gpr[u.r1] = u.imm;
-          break;
-        case UOp::kAddRR:
-          regs_.zf = (regs_.gpr[u.r1] += regs_.gpr[u.r2]) == 0;
-          break;
-        case UOp::kSubRR:
-          regs_.zf = (regs_.gpr[u.r1] -= regs_.gpr[u.r2]) == 0;
-          break;
-        case UOp::kXorRR:
-          regs_.zf = (regs_.gpr[u.r1] ^= regs_.gpr[u.r2]) == 0;
-          break;
-        case UOp::kOrRR:
-          regs_.zf = (regs_.gpr[u.r1] |= regs_.gpr[u.r2]) == 0;
-          break;
-        case UOp::kCmpRR:
-          regs_.zf = (regs_.gpr[u.r1] - regs_.gpr[u.r2]) == 0;
-          break;
-        case UOp::kAddImm:
-          regs_.zf = (regs_.gpr[u.r1] += u.imm) == 0;
-          break;
-        case UOp::kSubImm:
-          regs_.zf = (regs_.gpr[u.r1] -= u.imm) == 0;
-          break;
-        case UOp::kCmpImm:
-          regs_.zf = (regs_.gpr[u.r1] - u.imm) == 0;
-          break;
-        case UOp::kRdtsc:
-          // Reads cycles_ before this op's own cost is charged, exactly
-          // like exec_insn (cost accrues after the switch there too).
-          regs_[Reg::A] = static_cast<u32>(cycles_);
-          regs_[Reg::D] = static_cast<u32>(cycles_ >> 32);
-          break;
-        case UOp::kJmp:
-          ++instructions_;
-          cycles_ += perf_.cost_default;
-          if (executed == 0)
-            cycles_ += (mmu.stats().tlb_misses - misses_before) *
-                       perf_.cost_tlb_walk;
-          ++executed;
-          if (u.taken_idx != kNoTarget) {
-            i = u.taken_idx;
-            continue;
-          }
-          regs_.pc = u.taken_va;
-          goto leave_trace;
-        case UOp::kJcc: {
-          ++instructions_;
-          cycles_ += perf_.cost_default;
-          if (executed == 0)
-            cycles_ += (mmu.stats().tlb_misses - misses_before) *
-                       perf_.cost_tlb_walk;
-          ++executed;
-          const bool taken = regs_.zf == (u.aux != 0);
-          const u16 idx = taken ? u.taken_idx : u.fall_idx;
-          if (idx != kNoTarget) {
-            i = idx;
-            continue;
-          }
-          regs_.pc = taken ? u.taken_va : u.fall_va;
-          goto leave_trace;
-        }
-        case UOp::kFused: {
-          // Fused ALU half: register-only, cannot fault, sets the ZF the
-          // branch consumes. Charged exactly like exec_insn.
-          u32 result = 0;
-          switch (static_cast<FusedAlu>(u.aux & 0x7F)) {
-            case FusedAlu::kAddRR:
-              result = (regs_.gpr[u.r1] += regs_.gpr[u.r2]);
-              break;
-            case FusedAlu::kSubRR:
-              result = (regs_.gpr[u.r1] -= regs_.gpr[u.r2]);
-              break;
-            case FusedAlu::kXorRR:
-              result = (regs_.gpr[u.r1] ^= regs_.gpr[u.r2]);
-              break;
-            case FusedAlu::kOrRR:
-              result = (regs_.gpr[u.r1] |= regs_.gpr[u.r2]);
-              break;
-            case FusedAlu::kCmpRR:
-              result = regs_.gpr[u.r1] - regs_.gpr[u.r2];
-              break;
-            case FusedAlu::kAddImm:
-              result = (regs_.gpr[u.r1] += u.imm);
-              break;
-            case FusedAlu::kSubImm:
-              result = (regs_.gpr[u.r1] -= u.imm);
-              break;
-            case FusedAlu::kCmpImm:
-              result = regs_.gpr[u.r1] - u.imm;
-              break;
-          }
-          regs_.zf = (result == 0);
-          ++instructions_;
-          cycles_ += perf_.cost_default;
-          if (executed == 0)
-            cycles_ += (mmu.stats().tlb_misses - misses_before) *
-                       perf_.cost_tlb_walk;
-          ++executed;
-          // Inter-pair window: if anything fires here the ALU half is
-          // retired and pc sits on the branch — byte-identical to uncached
-          // stepping. Under `fast` only the budget can fire (the ALU half is
-          // pure).
-          if (instructions_ >= budget_end) {
-            regs_.pc = u.jcc_va;
-            trace_cache_.note_side_exit(TraceCache::kExitBudget, regs_.pc,
-                                        executed);
-            *misses_io = mmu.stats().tlb_misses;  // executed >= 1 here
-            return {ExitReason::kNone, regs_.pc};
-          }
-          if (fast && cycles_ >= fast_until) fast = false;
-          if (!fast) {
-            if (cycles_ >= sample_at_) take_sample(u.jcc_va, kTierTrace);
-            u8 pair_guard = 0;
-            if ((deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
-                (pending_irqs_ != 0 && regs_.interrupts_enabled)) {
-              pair_guard = TraceCache::kExitIrq;
-            } else if (u.jcc_va == suppress_bp_at_ ||
-                       (!breakpoints_.empty() && has_breakpoint(u.jcc_va))) {
-              pair_guard = TraceCache::kExitBreakpoint;
-            } else if (mmu.fill_version() != entry_fill ||
-                       mmu.ept().generation() != entry_ept) {
-              pair_guard = TraceCache::kExitTranslation;
-            } else if (trace_cache_.write_epoch() != entry_epoch) {
-              pair_guard = TraceCache::kExitCodeWrite;
-            }
-            if (pair_guard != 0) {
-              regs_.pc = u.jcc_va;
-              trace_cache_.note_side_exit(pair_guard, regs_.pc, executed);
-              *misses_io = mmu.stats().tlb_misses;  // executed >= 1 here
-              return {ExitReason::kNone, regs_.pc};
-            }
-          }
-          // Branch half: no memory access, so no walk delta to charge.
-          const bool taken = regs_.zf == ((u.aux & 0x80) != 0);
-          ++instructions_;
-          cycles_ += perf_.cost_default;
-          ++executed;
-          trace_cache_.note_fused_exec();
-          const u16 idx = taken ? u.taken_idx : u.fall_idx;
-          if (idx != kNoTarget) {
-            i = idx;
-            continue;
-          }
-          regs_.pc = taken ? u.taken_va : u.fall_va;
-          goto leave_trace;
-        }
-        case UOp::kPush: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          const u32 value = regs_.gpr[u.r1];  // pre-decrement, like push32
-          regs_[Reg::SP] -= 4;
-          if (!mmu.try_write32(regs_[Reg::SP], value)) goto mem_fault;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
-        case UOp::kPop: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          auto value = mmu.try_read32(regs_[Reg::SP]);
-          if (!value) goto mem_fault;
-          regs_[Reg::SP] += 4;
-          regs_.gpr[u.r1] = *value;  // after the bump, like exec_insn
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
-        case UOp::kLoad: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          auto value = mmu.try_read32(regs_.gpr[u.r2] + u.imm);
-          if (!value) goto mem_fault;
-          regs_.gpr[u.r1] = *value;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
-        case UOp::kStore:
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          // Materialize the architectural pc before the store reaches memory:
-          // data-frame write sinks attribute the store to the executing
-          // instruction, and the trace tier's pc is otherwise lazy.
-          regs_.pc = u.va;
-          if (!mmu.try_write32(regs_.gpr[u.r1] + u.imm, regs_.gpr[u.r2]))
-            goto mem_fault;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        case UOp::kLoadAbs: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          auto value = mmu.try_read32(u.imm);
-          if (!value) goto mem_fault;
-          regs_.gpr[u.r1] = *value;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
-        case UOp::kStoreAbs:
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          regs_.pc = u.va;  // see kStore: sinks attribute stores by pc
-          if (!mmu.try_write32(u.imm, regs_.gpr[u.r2])) goto mem_fault;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        case UOp::kLeave: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          regs_[Reg::SP] = regs_[Reg::FP];  // before the read, like exec_insn
-          auto value = mmu.try_read32(regs_[Reg::SP]);
-          if (!value) goto mem_fault;
-          regs_[Reg::SP] += 4;
-          regs_[Reg::FP] = *value;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
-        case UOp::kCall: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          regs_[Reg::SP] -= 4;
-          if (!mmu.try_write32(regs_[Reg::SP], u.fall_va)) goto mem_fault;
-          ++instructions_;
-          cycles_ += perf_.cost_call;
-          cycles_ += (mmu.stats().tlb_misses - m0) * perf_.cost_tlb_walk;
-          ++executed;
-          if (fast && (mmu.fill_version() != entry_fill ||
-                       mmu.ept().generation() != entry_ept ||
-                       trace_cache_.write_epoch() != entry_epoch))
-            fast = false;
-          if (u.taken_idx != kNoTarget) {
-            i = u.taken_idx;
-            continue;
-          }
-          regs_.pc = u.taken_va;
-          goto leave_trace;
-        }
-        case UOp::kRet: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          auto value = mmu.try_read32(regs_[Reg::SP]);
-          if (!value) goto mem_fault;
-          regs_[Reg::SP] += 4;
-          ++instructions_;
-          cycles_ += perf_.cost_ret;
-          cycles_ += (mmu.stats().tlb_misses - m0) * perf_.cost_tlb_walk;
-          ++executed;
-          if (fast && (mmu.fill_version() != entry_fill ||
-                       mmu.ept().generation() != entry_ept ||
-                       trace_cache_.write_epoch() != entry_epoch))
-            fast = false;
-          regs_.pc = *value;
-          // Dynamic landing, resolved like kSlow: builds stop the chain at
-          // RET, so this is normally the last micro-op, but a recursive loop
-          // can return straight onto the trace entry.
-          if (i + 1 < n && regs_.pc == uops[i + 1].va) {
-            ++i;
-            continue;
-          }
-          if (regs_.pc == entry_va) {
-            i = 0;
-            continue;
-          }
-          goto leave_trace;
-        }
-        case UOp::kSlow: {
-          regs_.pc = u.va;  // materialise: exec_insn is pc-relative
-          const u64 op_misses =
-              executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          Exit exit = exec_insn(ops[u.slow_index].insn, op_misses);
-          if (exit.reason != ExitReason::kNone) {
-            trace_cache_.note_side_exit(TraceCache::kExitTrap, regs_.pc,
-                                        executed);
-            return exit;
-          }
-          ++executed;
-          fast = false;  // may have filled the TLB, run the env, raised IRQs
-          // Landing resolution for the one op class whose successor is only
-          // known at runtime: the predicted chain, the hot-loop back edge,
-          // or off the trace.
-          if (i + 1 < n && regs_.pc == uops[i + 1].va) {
-            ++i;
-            continue;
-          }
-          if (regs_.pc == entry_va) {
-            i = 0;
-            continue;
-          }
-          goto leave_trace;
-        }
-      }
-      // Straight-line retire shared by every non-branch pure micro-op above.
-      ++instructions_;
-      cycles_ += perf_.cost_default;
-      if (executed == 0)
-        cycles_ +=
-            (mmu.stats().tlb_misses - misses_before) * perf_.cost_tlb_walk;
-      ++executed;
-      if (++i == n) {
-        regs_.pc = u.fall_va;
-        trace_cache_.note_completion(executed);
-        break;  // chain: try to dispatch at the landing pc
-      }
-      continue;
-    mem_retire:
-      // Straight-line retire for the data-memory micro-ops: each charges its
-      // own walk delta (against m0, so the first op still carries the
-      // entry-translate miss). A data access can fill the TLB — evicting a
-      // boundary the hoisted translation check relies on — and a store can
-      // hit a watched code frame; either shows up as a version move, and
-      // dropping `fast` lets the next op's full guard attribute the exit.
-      ++instructions_;
-      cycles_ += mem_cost;
-      cycles_ += (mmu.stats().tlb_misses - m0) * perf_.cost_tlb_walk;
-      ++executed;
-      if (fast && (mmu.fill_version() != entry_fill ||
-                   mmu.ept().generation() != entry_ept ||
-                   trace_cache_.write_epoch() != entry_epoch))
-        fast = false;
-      if (++i == n) {
-        regs_.pc = u.fall_va;
-        trace_cache_.note_completion(executed);
-        break;
-      }
-      continue;
-    mem_fault:
-      // Mirror exec_insn's GuestDataFault path exactly: no instruction or
-      // cycle charge, pc back on the faulting op, partial register effects
-      // (a push's moved SP) left in place.
-      in_block_ = false;  // end_block with no trace sink attached
-      regs_.pc = u.va;
-      trace_cache_.note_side_exit(TraceCache::kExitTrap, regs_.pc, executed);
-      return {ExitReason::kFetchFault, u.va};
-    leave_trace:
-      // A branch (or slow op) left the micro-op array: running off the last
-      // op is a completion, leaving mid-trace is a prediction side exit.
-      // Either way regs_.pc is materialised and the outer loop tries to
-      // chain into a trace at the landing pc.
-      if (i + 1 == n)
-        trace_cache_.note_completion(executed);
-      else
-        trace_cache_.note_side_exit(TraceCache::kExitPrediction, regs_.pc,
-                                    executed);
-      break;
+    // The walk-charge baseline for the first retired instruction predates
+    // this iteration's entry translate, so a probe miss from a dispatch that
+    // then declines still reaches step() (via *misses_io) uncharged exactly
+    // once. run_trace keeps it current: every retired op charges its own
+    // walk delta, so at any side exit or chain point it is the caller's
+    // next baseline — crucially *before* the next iteration's entry
+    // translate, whose miss must survive a decline and reach step()
+    // uncharged.
+    if (std::optional<Exit> exit = run_trace(*tr, budget_end, *misses_io))
+      return *exit;
+  }
+}
+
+std::optional<Exit> Vcpu::run_trace(const Trace& tr, u64 budget_end,
+                                    u64& base) {
+  // Snapshots the guard revalidates: while none of these move, every
+  // translation the trace skips (block boundaries, the self-loop re-entry)
+  // would provably hit, and no code byte under the trace has changed.
+  const Versions entry = versions();
+  const MicroOp* uops = tr.uops.data();
+  const std::size_t n = tr.uops.size();
+  u32 executed = 0;
+  std::size_t i = 0;
+  // While `fast` holds and cycles_ stays below `fast_until`, every guard
+  // except the budget compare is provably quiescent: the last full pass saw
+  // no deliverable IRQ, no breakpoints and no armed suppress-once, and every
+  // op executed since was pure (register-only — cannot fill the TLB, write
+  // code bytes, call the environment, or raise/unmask an IRQ) or a data
+  // access whose version compare passed. The only guard input pure ops do
+  // advance is cycles_, which matters exactly when a deferred IRQ's release
+  // time is crossed — hence the cycle bound instead of a per-op re-test.
+  bool fast = false;
+  u64 fast_until = 0;
+
+  // An instruction boundary inside the dispatch, before the op at `va` (or
+  // between the halves of a fused pair): the budget, then outside fast mode
+  // the pending sample and the guard. Returns a side-exit reason or 0.
+  auto boundary = [&](GVirt va) -> u8 {
+    if (instructions_ >= budget_end) return TraceCache::kExitBudget;
+    if (fast && cycles_ < fast_until) return 0;
+    // Pending sample first: fast mode parks on this boundary (fast_until is
+    // clamped to sample_at_ below), so the sample fires here with
+    // trace-tier attribution before the guard can side-exit.
+    if (cycles_ >= sample_at_) take_sample(va, kTierTrace);
+    if (const u8 why = guard(va, entry)) return why;
+    // Pending-but-masked IRQs stay undeliverable across pure ops; a
+    // deferred IRQ is handled by the cycle bound, and the sampling bound
+    // makes fast mode stop at the next sample boundary (sample_at_ >
+    // cycles_ after the take_sample above; ~0 when detached, a no-op).
+    fast = breakpoints_.empty() && suppress_bp_at_ == 0xFFFFFFFFu &&
+           !(pending_irqs_ != 0 && regs_.interrupts_enabled);
+    fast_until = deferred_irqs_ != 0 ? irq_release_at_ : ~static_cast<u64>(0);
+    if (sample_at_ < fast_until) fast_until = sample_at_;
+    return 0;
+  };
+  // Side exits hand the architectural state to the block tier exactly as
+  // uncached execution would see it.
+  auto side_exit = [&](u8 why, GVirt va) -> Exit {
+    regs_.pc = va;
+    trace_cache_.note_side_exit(why, va, executed);
+    return {ExitReason::kNone, va};
+  };
+  auto trap = [&](Exit exit) -> Exit {
+    trace_cache_.note_side_exit(TraceCache::kExitTrap, regs_.pc, executed);
+    return exit;
+  };
+  // Left the micro-op array with regs_.pc materialised: running off the
+  // last op is a completion, leaving mid-trace a prediction side exit.
+  auto leave = [&]() -> std::optional<Exit> {
+    if (i + 1 == n)
+      trace_cache_.note_completion(executed);
+    else
+      trace_cache_.note_side_exit(TraceCache::kExitPrediction, regs_.pc,
+                                  executed);
+    return std::nullopt;
+  };
+  // Landing resolution for the ops whose successor is only known at runtime
+  // (ret, kSlow): the predicted chain, the hot-loop back edge, or off the
+  // trace.
+  auto land = [&]() {
+    if (i + 1 < n && regs_.pc == uops[i + 1].va) {
+      ++i;
+      return true;
     }
-    // Chain point: every retired op charged its own walk delta, so the next
-    // dispatch's first-op baseline is "right here" — crucially *before* the
-    // next iteration's entry translate, whose miss must survive a decline
-    // and reach step() uncharged.
-    *misses_io = mmu.stats().tlb_misses;
+    if (regs_.pc == tr.entry_va) {
+      i = 0;
+      return true;
+    }
+    return false;
+  };
+  // After a data access: a TLB fill can evict a boundary the hoisted
+  // translation check relies on, and a store can hit a watched code frame;
+  // either moves a version, and dropping `fast` lets the next op's full
+  // guard attribute the exit.
+  auto recheck = [&] {
+    if (fast && versions() != entry) fast = false;
+  };
+
+  while (true) {
+    const MicroOp& u = uops[i];
+    if (const u8 why = boundary(u.va)) return side_exit(why, u.va);
+    if (fast && u.seg > 1) {
+      // Straight-line simple run: every op in it retires one instruction
+      // for cost_default, cannot fault, never reads cycles_, and cannot
+      // disturb any guard input — so the per-op budget/guard checks and the
+      // retirement accounting hoist out of the loop entirely. The batch is
+      // clamped so it stops at exactly the op boundary where per-op
+      // execution would have re-checked the budget or crossed the
+      // deferred-IRQ release cycle (fast implies cycles_ < fast_until and
+      // the boundary implies at least one instruction of budget, so len >= 1
+      // and at least one op retires).
+      const u32 cd = perf_.cost_default != 0 ? perf_.cost_default : 1;
+      u64 len = u.seg;
+      if (budget_end - instructions_ < len) len = budget_end - instructions_;
+      const u64 by_cycles = (fast_until - cycles_ - 1) / cd + 1;
+      if (by_cycles < len) len = by_cycles;
+      const std::size_t stop = i + static_cast<std::size_t>(len);
+      for (std::size_t e = i; e < stop; ++e)
+        exec_simple(uops[e].kind, uops[e].r1, uops[e].r2, uops[e].imm);
+      base = retire(perf_.cost_default, base, len);
+      executed += static_cast<u32>(len);
+      i = stop;
+      if (i == n) {
+        // The segment reached the end of the trace (a trace only ends on a
+        // simple op when the op or block cap cut it mid-block).
+        regs_.pc = uops[n - 1].fall_va;
+        trace_cache_.note_completion(executed);
+        return std::nullopt;
+      }
+      continue;
+    }
+    // Branch targets were resolved to micro-op indices at build, so staying
+    // on the predicted chain is an index assignment, not a pc compare.
+    switch (u.kind) {
+      case UOp::kRdtsc:
+        rdtsc();
+        base = retire(perf_.cost_default, base);
+        break;
+      case UOp::kJmp:
+      case UOp::kJcc:
+      case UOp::kFused: {
+        if (u.kind == UOp::kFused) {
+          // ALU half: if anything fires in the window after it, it is
+          // retired and pc sits on the branch — byte-identical to uncached
+          // stepping. Under `fast` only the budget can fire (the ALU half
+          // is pure).
+          exec_simple(static_cast<UOp>(u.aux & ~kWantZf), u.r1, u.r2, u.imm);
+          base = retire(perf_.cost_default, base);
+          ++executed;
+          if (const u8 why = boundary(u.jcc_va))
+            return side_exit(why, u.jcc_va);
+          trace_cache_.note_fused_exec();
+        }
+        const bool taken =
+            u.kind == UOp::kJmp || regs_.zf == ((u.aux & kWantZf) != 0);
+        base = retire(perf_.cost_default, base);
+        ++executed;
+        const u16 idx = taken ? u.taken_idx : u.fall_idx;
+        if (idx != kNoTarget) {
+          i = idx;
+          continue;
+        }
+        regs_.pc = taken ? u.taken_va : u.fall_va;
+        return leave();
+      }
+      case UOp::kCall:
+        if (!push(u.fall_va)) return trap(data_fault(u.va));
+        base = retire(perf_.cost_call, base);
+        ++executed;
+        recheck();
+        if (u.taken_idx != kNoTarget) {
+          i = u.taken_idx;
+          continue;
+        }
+        regs_.pc = u.taken_va;
+        return leave();
+      case UOp::kRet: {
+        u32 target = 0;
+        if (!pop(target)) return trap(data_fault(u.va));
+        base = retire(perf_.cost_ret, base);
+        ++executed;
+        recheck();
+        regs_.pc = target;
+        // Builds stop the chain at RET, so this is normally the last
+        // micro-op, but a recursive loop can return straight onto the
+        // trace entry.
+        if (land()) continue;
+        return leave();
+      }
+      case UOp::kSlow: {
+        regs_.pc = u.va;  // materialise: exec_insn is pc-relative
+        Exit exit = exec_insn(tr.slow[u.slow_index], base);
+        if (exit.reason != ExitReason::kNone) return trap(exit);
+        base = machine_->mmu().stats().tlb_misses;
+        ++executed;
+        fast = false;  // may have filled the TLB, run the env, raised IRQs
+        if (land()) continue;
+        return leave();
+      }
+      default:
+        if (is_data_memory(u.kind)) {
+          if (!exec_mem(u)) return trap(data_fault(u.va));
+          base = retire(perf_.cost_default, base);
+          recheck();
+        } else {
+          exec_simple(u.kind, u.r1, u.r2, u.imm);
+          base = retire(perf_.cost_default, base);
+        }
+        break;
+    }
+    // Straight-line advance.
+    ++executed;
+    if (++i == n) {
+      regs_.pc = u.fall_va;
+      trace_cache_.note_completion(executed);
+      return std::nullopt;
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -244,9 +245,8 @@ class Vcpu {
   /// once, here).
   Exit step(u64 misses_before);
   /// Execute one already-fetched instruction: trace-block bookkeeping, the
-  /// exec switch, retirement accounting, and the TLB-walk cycle charge for
-  /// misses accrued since `misses_before`. UD2 / privilege traps return
-  /// without retiring.
+  /// lowered op through the shared semantic helpers, and retire() against
+  /// `misses_before`. UD2 / privilege traps return without retiring.
   Exit exec_insn(const isa::Instruction& insn, u64 misses_before);
   /// Straight-line continuation inside the current cached block: retire
   /// instructions directly from the cursor while nothing that could change
@@ -266,6 +266,50 @@ class Vcpu {
   /// must pass the updated value to step() unchanged, so probe misses from
   /// a declined chain dispatch are charged exactly once.
   Exit run_traced(u64 budget_end, u64* misses_io, bool* dispatched);
+  /// Run one validated trace from its entry. Returns nothing when execution
+  /// left the micro-op array with regs_.pc materialised (completion or
+  /// prediction exit: run_traced may chain), else the Exit run_traced
+  /// returns. `base` is the walk-charge baseline (see retire).
+  std::optional<Exit> run_trace(const Trace& tr, u64 budget_end, u64& base);
+
+  // --- instruction semantics: one definition for every tier ---------------
+  // (Forced inline: they sit on every tier's per-instruction path.)
+  /// nop, the moves and the ALU (add, sub, xor, or, cmp; register or
+  /// immediate source), including the ZF rule.
+  [[gnu::always_inline]] inline void exec_simple(UOp kind, u8 r1, u8 r2,
+                                                u32 imm);
+  [[gnu::always_inline]] inline void rdtsc();
+  /// Data-memory ops (push, pop, load, store, load_abs, store_abs, leave)
+  /// and the stack halves of call and ret. Each returns false on a guest
+  /// data fault, leaving the partial effects of the MMU calls made so far.
+  [[gnu::always_inline]] inline bool exec_mem(const MicroOp& u);
+  [[gnu::always_inline]] inline bool push(u32 value);
+  [[gnu::always_inline]] inline bool pop(u32& out);
+  [[gnu::always_inline]] inline bool load(u32& out, u32 addr);
+  /// Abandon the instruction at `pc` on a guest data fault.
+  Exit data_fault(GVirt pc);
+  /// Retire `count` instructions at `cost` each, plus cost_tlb_walk per TLB
+  /// miss since `miss_baseline`. Returns the miss count now charged up to:
+  /// the next instruction's baseline.
+  [[gnu::always_inline]] inline u64 retire(u32 cost, u64 miss_baseline,
+                                           u64 count = 1);
+
+  /// Translation and code state a cached tier's skipped work relies on.
+  struct Versions {
+    u64 fill = 0;   // Mmu::fill_version
+    u64 ept = 0;    // Ept::generation
+    u64 epoch = 0;  // TraceCache::write_epoch
+    bool operator==(const Versions&) const = default;
+  };
+  Versions versions() {
+    return {machine_->mmu().fill_version(), machine_->mmu().ept().generation(),
+            trace_cache_.write_epoch()};
+  }
+  /// The one bail predicate of the cached tiers, checked before an
+  /// instruction at `pc`: an IRQ due or deliverable, a breakpoint or armed
+  /// suppress-once, translation drift or a code write since `since`.
+  /// Returns the TraceCache::SideExit reason, or 0.
+  [[gnu::always_inline]] inline u8 guard(GVirt pc, const Versions& since);
   /// Resolve the instruction at regs_.pc through the block cache. Returns
   /// nullptr in `insn` when the slow fetch+decode path must run; sets
   /// `fetch_fault` when the pc's page is unmapped (a definitive exit).
