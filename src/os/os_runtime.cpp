@@ -21,6 +21,7 @@ namespace {
 constexpr u32 kSigAlrm = 14;
 constexpr u32 kEintr = 0xFFFFFFFCu;   // -4
 constexpr u32 kEbadf = 0xFFFFFFF7u;   // -9
+constexpr u32 kMaxFds = 1024;         // RLIMIT_NOFILE: dup2 targets above fail
 constexpr u32 kEchild = 0xFFFFFFF6u;  // -10
 constexpr u32 kEsrch = 0xFFFFFFFDu;   // -3
 constexpr u32 kHz = 250;              // ticks per simulated second (4 ms)
@@ -304,14 +305,12 @@ void OsRuntime::create_idle_task() {
 }
 
 void OsRuntime::start_timer() {
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, tick] {
+  // Each tick reschedules the next through `this`: the queue owns the only
+  // pending closure, so destroying the runtime frees it.
+  events_.schedule_at(hv_->vcpu().cycles() + config_.timer_period, [this] {
     hv_->vcpu().raise_irq(abi::kIrqTimer);
-    events_.schedule_at(hv_->vcpu().cycles() + config_.timer_period,
-                        [tick] { (*tick)(); });
-  };
-  events_.schedule_at(hv_->vcpu().cycles() + config_.timer_period,
-                      [tick] { (*tick)(); });
+    start_timer();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -859,12 +858,15 @@ void OsRuntime::on_ksvc(u16 service, Vcpu& vcpu) {
       break;
     case abi::kKsvcDup2: {
       Fd* fd = fd_ref(B);
-      if (fd == nullptr) {
+      if (fd == nullptr || C >= kMaxFds) {
         A = kEbadf;
+      } else if (C == B) {
+        A = C;  // dup2(fd, fd) is a no-op that returns fd
       } else {
-        while (t.fds.size() <= C) t.fds.push_back(Fd{});
+        const Fd copy = *fd;  // growing the table may move *fd
+        if (t.fds.size() <= C) t.fds.resize(C + 1);
         fd_close(t.fds[C]);
-        t.fds[C] = *fd;
+        t.fds[C] = copy;
         fd_addref(t.fds[C]);
         A = C;
       }

@@ -182,6 +182,62 @@ TEST_F(OsFixture, Dup2CopiesDescriptors) {
   EXPECT_EQ(model->results()[2], 128u);
 }
 
+// A target far past the table's end grows the descriptor table, which can
+// move the source descriptor: it must be copied first (a heap
+// use-after-free under ASan otherwise).
+TEST_F(OsFixture, Dup2GrowingTheTableKeepsBothDescriptors) {
+  auto model = run_script({
+      sys(abi::kSysOpen, os::kPathProcStat, 0),  // fd 3
+      sys(abi::kSysDup2, 3, 700),
+      sys(abi::kSysRead, 700, 128),
+      sys(abi::kSysRead, 3, 128),
+  });
+  const auto& r = model->results();
+  ASSERT_EQ(r.size(), 4u);
+  EXPECT_EQ(r[1], 700u);
+  EXPECT_EQ(r[2], 128u);
+  EXPECT_EQ(r[3], 128u);
+}
+
+TEST_F(OsFixture, Dup2OntoItselfIsANoOp) {
+  auto model = run_script({
+      sys(abi::kSysOpen, os::kPathProcStat, 0),  // fd 3
+      sys(abi::kSysDup2, 3, 3),
+      sys(abi::kSysRead, 3, 128),
+  });
+  const auto& r = model->results();
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r[1], 3u);
+  EXPECT_EQ(r[2], 128u);  // still open
+}
+
+TEST_F(OsFixture, Dup2RejectsOutOfRangeTargets) {
+  auto model = run_script({
+      sys(abi::kSysOpen, os::kPathProcStat, 0),  // fd 3
+      sys(abi::kSysDup2, 3, 0xFFFFFFF0u),
+      sys(abi::kSysDup2, 3, 1024),
+      sys(abi::kSysRead, 3, 128),
+  });
+  const auto& r = model->results();
+  ASSERT_EQ(r.size(), 4u);
+  EXPECT_EQ(r[1], 0xFFFFFFF7u);  // -EBADF, and no table growth
+  EXPECT_EQ(r[2], 0xFFFFFFF7u);
+  EXPECT_EQ(r[3], 128u);
+}
+
+// Booting arms the periodic timer, which reschedules itself on every tick.
+// Destroying the system must free the pending tick: run under ASan with
+// detect_leaks=1, this is the leak check for it.
+TEST(OsRuntimeLifetime, ConstructRunAndDestroy) {
+  u64 jiffies = 0;
+  {
+    harness::GuestSystem system;
+    system.hv().run_for(2'000'000);
+    jiffies = system.os().jiffies();
+  }
+  EXPECT_GT(jiffies, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // fork / wait / execve.
 // ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@
 #                           tiny budgets, no thresholds), then the release
 #                           bench with the tier gates enforced (block >=
 #                           2.0x over uncached, trace >= 1.5x over
-#                           block-only, recorded in BENCH_interp.json)
+#                           block-only, recorded in BENCH_interp.json),
+#                           then the host-time benchmark's smoke test
+#                           (hostbench/smoke_test.py)
 #   tools/ci.sh fleet-scale-smoke
 #                           determinism gate for the work-stealing fleet
 #                           scheduler: bench/fleet_scale --smoke must emit
@@ -146,6 +148,10 @@ bench_smoke() {
   fi
   echo "bench-smoke: trace tier ${trace_geomean}x over block-cache-only" \
        "(gate >= 1.5x)"
+  # The host-time benchmark at tiny sizes: every workload untraced and
+  # traced must report every BENCHMARK.json metric with no failed
+  # operations. It builds hostbench/ into .bench_build/ itself.
+  python3 hostbench/smoke_test.py
   # The benches embed their metrics in JSON; keep them as CI artifacts so
   # runs can be compared over time.
   mkdir -p ci-artifacts

@@ -42,7 +42,7 @@ namespace {
       "  behavior <app> [-n iterations] [-o behavior.cfg]\n"
       "  inspect  <view.cfg>\n"
       "  enforce  <app> -v view.cfg [-n iterations] [--no-block-cache]\n"
-      "           [--no-trace-cache] [--trace-hot-threshold N]\n"
+      "           [--no-trace-cache]\n"
       "           [--closure]  (expand the view by static call-graph "
       "closure)\n"
       "  matrix   [-n iterations]\n"
@@ -87,7 +87,6 @@ struct Options {
   bool union_view = false;
   bool block_cache = true;
   bool trace_cache = true;
-  u32 trace_hot_threshold = cpu::TraceCache::kDefaultHotThreshold;
   bool closure = false;  // enforce: expand the view by static closure
   u32 vms = 8;           // fleet: guest count
   u32 jobs = 1;          // fleet: worker threads (0 = one per VM)
@@ -110,12 +109,6 @@ Options parse_flags(int argc, char** argv, int first) {
       options.block_cache = false;
     } else if (!std::strcmp(argv[i], "--no-trace-cache")) {
       options.trace_cache = false;
-    } else if (!std::strcmp(argv[i], "--trace-hot-threshold") && i + 1 < argc) {
-      options.trace_hot_threshold = static_cast<u32>(std::atoi(argv[++i]));
-      if (options.trace_hot_threshold == 0) {
-        std::fprintf(stderr, "fcsh: --trace-hot-threshold must be >= 1\n");
-        std::exit(2);
-      }
     } else if (!std::strcmp(argv[i], "--closure")) {
       options.closure = true;
     } else if (!std::strcmp(argv[i], "--trace-out") && i + 1 < argc) {
@@ -222,7 +215,6 @@ int cmd_enforce(const std::string& app, const Options& options) {
   // The trace tier stacks on the block cache; disabling the latter disables
   // both regardless of the trace flag.
   sys.vcpu().set_trace_cache_enabled(options.block_cache && options.trace_cache);
-  sys.vcpu().set_trace_hot_threshold(options.trace_hot_threshold);
   core::FaceChangeEngine engine(sys.hv(), sys.os().kernel());
   engine.enable();
 
