@@ -164,7 +164,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
         stop_chain = true;
         break;
       }
-      MicroOp u = lower_insn(insn, cur);
+      MicroOp u = lower_insn(insn.op, insn, cur);
       cur = u.fall_va;
       successor = u.fall_va;
       have_successor = true;

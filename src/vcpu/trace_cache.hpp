@@ -184,19 +184,21 @@ inline constexpr auto kOpTable = [] {
 }();
 
 /// Lower one instruction at `va` through kOpTable, with no trace context
-/// (branch indices stay kNoTarget). Vcpu::exec_insn executes this record
-/// directly; the trace builder adds fusion and in-trace branch resolution
-/// on top.
-inline MicroOp lower_insn(const isa::Instruction& insn, GVirt va) {
-  const OpInfo& info = kOpTable[static_cast<std::size_t>(insn.op)];
+/// (branch indices stay kNoTarget). `op` is insn.op, passed separately so a
+/// caller that knows it at compile time (Vcpu::exec_insn's per-op
+/// instances) folds the whole lowering to constants; the trace builder adds
+/// fusion and in-trace branch resolution on top.
+inline MicroOp lower_insn(isa::Op op, const isa::Instruction& insn,
+                          GVirt va) {
+  const OpInfo& info = kOpTable[static_cast<std::size_t>(op)];
   MicroOp u;
   // The memory form of OR (the misinterpreted 0B 0F pair) reads through the
   // MMU with no fault path: exec_insn's own case.
-  u.kind = insn.op == isa::Op::kOr && insn.disp != 0 ? UOp::kSlow : info.uop;
+  u.kind = op == isa::Op::kOr && insn.disp != 0 ? UOp::kSlow : info.uop;
   u.r1 = static_cast<u8>(info.implicit_a == kAIsR1 ? isa::Reg::A : insn.r1);
   u.r2 = static_cast<u8>(info.implicit_a == kAIsR2 ? isa::Reg::A : insn.r2);
   u.aux = info.aux;
-  u.imm = u.kind == UOp::kLoad || u.kind == UOp::kStore
+  u.imm = info.uop == UOp::kLoad || info.uop == UOp::kStore
               ? static_cast<u32>(insn.disp)
               : insn.imm;
   u.va = va;

@@ -1,6 +1,8 @@
 #include "vcpu/vcpu.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "support/check.hpp"
@@ -301,21 +303,24 @@ u8 Vcpu::guard(GVirt pc, const Versions& since) {
 }
 
 Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
-  if (insn.op == Op::kUd2) {
-    end_block(regs_.pc);
-    return {ExitReason::kInvalidOpcode, regs_.pc};
-  }
-  // Privilege checks for simulator instructions.
-  if (insn.op == Op::kKsvc && regs_.mode != Mode::kKernel) {
-    end_block(regs_.pc);
-    return {ExitReason::kInvalidOpcode, regs_.pc};
-  }
-  if (insn.op == Op::kAppStep && regs_.mode != Mode::kUser) {
-    end_block(regs_.pc);
-    return {ExitReason::kInvalidOpcode, regs_.pc};
-  }
-  if ((insn.op == Op::kCli || insn.op == Op::kSti) &&
-      regs_.mode != Mode::kKernel) {
+  using ExecOp = Exit (Vcpu::*)(const isa::Instruction&, u64);
+  static constexpr auto kExecOps =
+      []<std::size_t... I>(std::index_sequence<I...>) {
+        return std::array<ExecOp, sizeof...(I)>{
+            &Vcpu::exec_op<static_cast<Op>(I)>...};
+      }(std::make_index_sequence<kOpTable.size()>{});
+  return (this->*kExecOps[static_cast<std::size_t>(insn.op)])(insn,
+                                                             misses_before);
+}
+
+template <isa::Op kOp>
+Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before) {
+  // UD2 and the privilege checks for simulator instructions trap without
+  // retiring.
+  if (kOp == Op::kUd2 ||
+      ((kOp == Op::kKsvc || kOp == Op::kCli || kOp == Op::kSti) &&
+       regs_.mode != Mode::kKernel) ||
+      (kOp == Op::kAppStep && regs_.mode != Mode::kUser)) {
     end_block(regs_.pc);
     return {ExitReason::kInvalidOpcode, regs_.pc};
   }
@@ -327,7 +332,7 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
 
   const GVirt pc = regs_.pc;
   const GVirt next = pc + insn.length;
-  const MicroOp u = lower_insn(insn, pc);
+  const MicroOp u = lower_insn(kOp, insn, pc);
   u32 cost = perf_.cost_default;
   Exit pending_exit{ExitReason::kNone, 0};
 
@@ -369,7 +374,7 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
       regs_.pc = next;
       break;
     case UOp::kSlow:
-      switch (insn.op) {
+      switch (kOp) {
         case Op::kOr: {
           // Memory form (the misinterpreted 0B 0F pair lands here): read
           // through the MMU if mapped, else "read" garbage — either way the
@@ -691,7 +696,10 @@ std::optional<Exit> Vcpu::run_trace(const Trace& tr, u64 budget_end,
     }
     // Branch targets were resolved to micro-op indices at build, so staying
     // on the predicted chain is an index assignment, not a pc compare.
-    switch (u.kind) {
+    if (is_simple(u.kind)) {
+      exec_simple(u.kind, u.r1, u.r2, u.imm);
+      base = retire(perf_.cost_default, base);
+    } else switch (u.kind) {
       case UOp::kRdtsc:
         rdtsc();
         base = retire(perf_.cost_default, base);
@@ -757,15 +765,10 @@ std::optional<Exit> Vcpu::run_trace(const Trace& tr, u64 budget_end,
         if (land()) continue;
         return leave();
       }
-      default:
-        if (is_data_memory(u.kind)) {
-          if (!exec_mem(u)) return trap(data_fault(u.va));
-          base = retire(perf_.cost_default, base);
-          recheck();
-        } else {
-          exec_simple(u.kind, u.r1, u.r2, u.imm);
-          base = retire(perf_.cost_default, base);
-        }
+      default:  // data memory
+        if (!exec_mem(u)) return trap(data_fault(u.va));
+        base = retire(perf_.cost_default, base);
+        recheck();
         break;
     }
     // Straight-line advance.

@@ -247,7 +247,12 @@ class Vcpu {
   /// Execute one already-fetched instruction: trace-block bookkeeping, the
   /// lowered op through the shared semantic helpers, and retire() against
   /// `misses_before`. UD2 / privilege traps return without retiring.
+  /// Dispatches to the exec_op instance for insn.op.
   Exit exec_insn(const isa::Instruction& insn, u64 misses_before);
+  /// exec_insn for one opcode: with the op a compile-time constant, the
+  /// kOpTable lowering and the micro-op switch fold away.
+  template <isa::Op kOp>
+  Exit exec_op(const isa::Instruction& insn, u64 misses_before);
   /// Straight-line continuation inside the current cached block: retire
   /// instructions directly from the cursor while nothing that could change
   /// behaviour (IRQs, breakpoints, TLB fills, frame writes, page-end fetch
