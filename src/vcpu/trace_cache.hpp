@@ -107,9 +107,6 @@ enum class UOp : u8 {
 
 constexpr bool is_simple(UOp k) { return k <= UOp::kCmpImm; }
 constexpr bool is_alu(UOp k) { return k >= UOp::kAddRR && k <= UOp::kCmpImm; }
-constexpr bool is_data_memory(UOp k) {
-  return k >= UOp::kPush && k <= UOp::kLeave;
-}
 
 constexpr u16 kNoTarget = 0xFFFF;  // branch target leaves the trace
 constexpr u8 kWantZf = 0x80;       // aux: a Jcc (or fused pair) that is

@@ -303,6 +303,7 @@ u8 Vcpu::guard(GVirt pc, const Versions& since) {
 }
 
 Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
+  // One exec_op instance per isa::Op (kOpTable has a row for each).
   using ExecOp = Exit (Vcpu::*)(const isa::Instruction&, u64);
   static constexpr auto kExecOps =
       []<std::size_t... I>(std::index_sequence<I...>) {
