@@ -91,7 +91,7 @@ Vcpu::CachedFetch Vcpu::cached_fetch() {
   // probe's TLB misses are charged cycles. Simulated time feeds back into
   // guest state (rdtsc, interrupt release times), so the cached path must
   // issue the exact same translation sequence.
-  if (kPageSize - page_offset(pc) < isa::kMaxInstructionLength)
+  if (in_page_tail(pc))
     (void)mmu.translate_page(page_base(pc) + kPageSize);
   BlockCache::Fetched fetched =
       block_cache_.fetch(machine_->host(), *frame, page_offset(pc), pc);
