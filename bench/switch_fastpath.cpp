@@ -27,7 +27,6 @@ PingPongResult run_pingpong(bool fastpath, int rounds) {
   harness::GuestSystem sys;
   core::EngineOptions opts;
   opts.delta_switch_fastpath = fastpath;
-  opts.scoped_tlb_invalidation = fastpath;
   core::FaceChangeEngine engine(sys.hv(), sys.os().kernel(), opts);
   engine.enable();
   u32 a = engine.load_view(harness::profile_of("top"));

@@ -10,6 +10,10 @@ namespace fc::core {
 
 using mem::GuestLayout;
 
+// A delta descriptor with more changed ranges than this falls back to a
+// full TLB flush instead of a scoped invalidation.
+constexpr std::size_t kMaxScopedRanges = 64;
+
 // The vCPU's tier encoding is the profiler's wire encoding (fc_vcpu cannot
 // depend on fc_obs consumers of its types, so the constants are mirrored).
 static_assert(cpu::kTierInterp == obs::kSampleTierInterp);
@@ -326,9 +330,7 @@ void FaceChangeEngine::apply_descriptor(const SwitchDescriptor& descriptor) {
 
   Cycles invalidation_cost = 0;
   u32 dropped = 0;
-  bool scoped = options_.scoped_tlb_invalidation &&
-                descriptor.changed_ranges.size() <=
-                    options_.scoped_invalidation_max_ranges;
+  bool scoped = descriptor.changed_ranges.size() <= kMaxScopedRanges;
   if (scoped) {
     dropped = machine.mmu().invalidate_gpa_ranges(descriptor.changed_ranges);
     ept.note_scoped_invalidation();

@@ -38,15 +38,11 @@ struct EngineOptions {
   /// trap-time-only instant recovery).
   bool cross_view_scan = true;
   /// Switch through cached per-(from, to) delta descriptors that issue only
-  /// the PDE/PTE writes whose value actually changes (see switchdelta.hpp);
-  /// false = the naive full rewrite on every transition.
+  /// the PDE/PTE writes whose value actually changes (see switchdelta.hpp)
+  /// and invalidate only the TLB entries whose guest-physical page falls
+  /// inside a changed range; false = the naive full rewrite plus a full
+  /// TLB flush on every transition (the §III-B2 ablation).
   bool delta_switch_fastpath = true;
-  /// Invalidate only the TLB entries whose guest-physical page falls inside
-  /// a changed range instead of flushing; requires the fast path (the naive
-  /// rewrite does not track what changed). Falls back to a full flush when
-  /// a descriptor's range list exceeds scoped_invalidation_max_ranges.
-  bool scoped_tlb_invalidation = true;
-  u32 scoped_invalidation_max_ranges = 64;
   ViewBuilderOptions builder;
 };
 

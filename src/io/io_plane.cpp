@@ -169,7 +169,7 @@ u32 IoPlane::drain_nic(const std::function<void(const Packet&)>& apply) {
   Virtqueue& vq = queues_[kNic];
   ++stats_.drains;
   u32 applied = 0;
-  u64 refills_before = stats_.backlog_refills;
+  [[maybe_unused]] const u64 refills_before = stats_.backlog_refills;
   for (;;) {
     std::optional<UsedElem> u = vq.driver_pop_used();
     if (!u.has_value()) break;
@@ -192,7 +192,7 @@ u32 IoPlane::drain_blk(const std::function<void(u32)>& apply) {
   Virtqueue& vq = queues_[kBlk];
   ++stats_.drains;
   u32 applied = 0;
-  u64 refills_before = stats_.backlog_refills;
+  [[maybe_unused]] const u64 refills_before = stats_.backlog_refills;
   for (;;) {
     std::optional<UsedElem> u = vq.driver_pop_used();
     if (!u.has_value()) break;

@@ -14,8 +14,7 @@
 //     pop every used entry, hand the packet to the OS, re-post the buffer,
 //     and refill from the backlog as buffers free up — the drain only
 //     returns when both the used ring and the backlog are empty, so one
-//     interrupt round trip absorbs any burst, exactly like the legacy
-//     unbounded-deque path.
+//     interrupt round trip absorbs any burst.
 //
 // Determinism contract: every decision is a function of simulated state
 // (vCPU cycles, ring occupancy, tuning constants) — the coalescing quantum
@@ -23,11 +22,13 @@
 // timing, and every counter below are byte-identical across runs and
 // across fleet --jobs counts.
 //
-// Parity contract: with the default tuning (coalesce_count=1, no quantum,
-// DMA metering off) the plane is cycle-exact with the legacy per-event
-// path: completions raise the IRQ line at the same cycle the legacy
-// deque-push did, the guest executes the same handler instructions, and no
-// extra cycles are charged. tests/io_test.cpp proves this in lockstep.
+// Parity tuning (the defaults: coalesce_count=1, no quantum, DMA metering
+// off) keeps the paper's one-interrupt-per-event device model: every
+// completion published by nic_rx/blk_complete raises the IRQ line at the
+// cycle it is published, a completion refilled from the backlog during a
+// drain raises none (the running drain delivers it), and no cycles are
+// charged. So irqs_raised == nic_delivered + blk_completions -
+// backlog_refills; tests/io_test.cpp checks this rule.
 #pragma once
 
 #include <deque>
@@ -42,12 +43,8 @@
 namespace fc::io {
 
 /// Runtime knobs for the data plane (part of os::OsConfig). The defaults
-/// are the parity configuration: ring transport, per-completion interrupts,
-/// unmetered DMA — cycle-identical to the legacy path.
+/// are the parity tuning: per-completion interrupts and unmetered DMA.
 struct IoTuning {
-  /// false = legacy per-event IRQ delivery (the pre-ring path, kept for
-  /// parity tests and the fleet_http baseline arm).
-  bool enabled = true;
   /// Descriptors per queue (power of two, <= 512).
   u32 ring_size = 64;
   /// Raise the IRQ once per this many completions...
@@ -56,8 +53,8 @@ struct IoTuning {
   /// 0 disables the quantum timer.
   Cycles coalesce_cycles = 0;
   /// Charge PerfModel DMA costs (cost_dma_per_desc/cost_dma_per_256b) to
-  /// the vCPU for every descriptor the device fills. Off by default so the
-  /// parity configuration stays cycle-exact with the legacy path.
+  /// the vCPU for every descriptor the device fills. Off in the parity
+  /// tuning, which charges the guest nothing for delivery.
   bool meter_dma = false;
 };
 
@@ -77,9 +74,11 @@ class IoPlane {
   enum Queue : u32 { kNic = 0, kBlk = 1, kQueueCount = 2 };
 
   /// The NIC packet record, DMA'd into the guest buffer as three 32-bit
-  /// words. `kind` mirrors the OS runtime's packet kinds; `sel` is the port
-  /// (datagram/syn) or socket id (data/conn-ack).
+  /// words. `sel` is the port (datagram/syn) or socket id (data/conn-ack).
+  /// `kind` stays a raw word because the OS reads the record back from
+  /// guest memory and must drop a kind outside `Kind`.
   struct Packet {
+    enum Kind : u32 { kDatagram, kSyn, kData, kConnAck };
     u32 kind = 0;
     u32 sel = 0;
     u32 len = 0;
@@ -108,7 +107,6 @@ class IoPlane {
   /// given tuning.ring_size, so shared-image clones stay shared).
   void init_rings();
 
-  bool enabled() const { return tuning_.enabled; }
   const IoTuning& tuning() const { return tuning_; }
   const Stats& stats() const { return stats_; }
   Virtqueue& queue(Queue q) { return queues_[q]; }

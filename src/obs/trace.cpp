@@ -4,7 +4,7 @@
 
 namespace fc::obs {
 
-thread_local bool g_trace_enabled = false;
+constinit thread_local bool g_trace_enabled = false;
 
 const char* kind_name(EventKind kind) {
   switch (kind) {

@@ -183,8 +183,10 @@ u32 name_hash(const char* s);
 
 // Capture flag, read inline by the emit macro. Thread-local like the
 // recorder it gates: capture on one fleet worker doesn't enable emission
-// (or data races) on the others.
-extern thread_local bool g_trace_enabled;
+// (or data races) on the others. `constinit` tells every includer that the
+// variable needs no dynamic initialization, so reads go straight to the TLS
+// slot instead of through a compiler-generated init wrapper.
+extern constinit thread_local bool g_trace_enabled;
 inline bool trace_enabled() { return g_trace_enabled; }
 
 }  // namespace fc::obs

@@ -13,6 +13,7 @@ namespace fc::os {
 
 using cpu::Vcpu;
 using isa::Reg;
+using Packet = io::IoPlane::Packet;
 using mem::GuestLayout;
 namespace abi = fc::abi;
 
@@ -178,10 +179,10 @@ void OsRuntime::boot() {
   files_[kPathHiddenLog] = {abi::FileClass::kExt4, 1 << 20, "/usr/_h4x_.log"};
   files_[kPathMediaFile] = {abi::FileClass::kExt4, 64 << 20, "/home/user/movie.ogv"};
 
-  // 5.5. IO data plane. Ring init happens unconditionally (even with
-  //      io.enabled=false) so the boot image is independent of the IO
-  //      tuning: clones replaying these deterministic writes against a
-  //      shared image see them as same-value no-ops and keep sharing.
+  // 5.5. IO data plane. Ring init depends only on the ring layout, so the
+  //      boot image is independent of the coalescing and DMA tuning:
+  //      clones replaying these deterministic writes against a shared
+  //      image see them as same-value no-ops and keep sharing.
   io_ = std::make_unique<io::IoPlane>(machine, vcpu, events_, config_.io);
   io_->init_rings();
 
@@ -729,37 +730,18 @@ void OsRuntime::on_ksvc(u16 service, Vcpu& vcpu) {
       handle_timer_tick();
       break;
     case abi::kKsvcNetRx:
-      if (io_->enabled()) {
-        io_->drain_nic(
-            [this](const io::IoPlane::Packet& p) { apply_packet(decode_packet(p)); });
-      } else {
-        while (!nic_queue_.empty()) {
-          PendingPacket pkt = nic_queue_.front();
-          nic_queue_.pop_front();
-          apply_packet(pkt);
-        }
-      }
+      io_->drain_nic([this](const Packet& p) { apply_packet(p); });
       A = 0;
       break;
-    case abi::kKsvcDiskDone: {
-      auto complete = [this](u32 pid) {
+    case abi::kKsvcDiskDone:
+      io_->drain_blk([this](u32 pid) {
         if (pid_slot_.count(pid)) {
           task(pid).disk_ready = true;
           wake_channel(chan(kChanDisk, pid));
         }
-      };
-      if (io_->enabled()) {
-        io_->drain_blk(complete);
-      } else {
-        while (!disk_done_queue_.empty()) {
-          u32 pid = disk_done_queue_.front();
-          disk_done_queue_.pop_front();
-          complete(pid);
-        }
-      }
+      });
       A = 0;
       break;
-    }
     case abi::kKsvcTtyEvent:
       tty_input_available_ += tty_pending_keys_;
       tty_pending_keys_ = 0;
@@ -824,7 +806,7 @@ void OsRuntime::on_ksvc(u16 service, Vcpu& vcpu) {
       } else {
         u32 pid = t.pid;
         events_.schedule_at(vcpu.cycles() + config_.disk_latency,
-                            [this, pid] { deliver_disk_done(pid); });
+                            [this, pid] { io_->blk_complete(pid); });
         block_current(chan(kChanDisk, pid));
         A = abi::kEagain;
       }
@@ -997,7 +979,7 @@ void OsRuntime::on_ksvc(u16 service, Vcpu& vcpu) {
           u32 sock_id = fd->obj;
           events_.schedule_at(
               vcpu.cycles() + config_.net_rtt, [this, sock_id] {
-                deliver_packet({PendingPacket::kConnAck, 0, sock_id, 0});
+                io_->nic_rx({Packet::kConnAck, sock_id, 0});
               });
         }
         block_current(chan(kChanSockConn, fd->obj));
@@ -1354,7 +1336,7 @@ void OsRuntime::ksvc_file_read(Vcpu& vcpu) {
       if (need_disk && !t.disk_ready) {
         u32 pid = t.pid;
         events_.schedule_at(vcpu.cycles() + config_.disk_latency,
-                            [this, pid] { deliver_disk_done(pid); });
+                            [this, pid] { io_->blk_complete(pid); });
         block_current(chan(kChanDisk, pid));
         A = abi::kEagain;
         return;
@@ -1602,86 +1584,52 @@ void OsRuntime::handle_timer_tick() {
 // Devices / traffic.
 // ---------------------------------------------------------------------------
 
-void OsRuntime::apply_packet(const PendingPacket& pkt) {
+void OsRuntime::apply_packet(const Packet& pkt) {
+  // kDatagram/kSyn select by port (the low 16 bits of sel); kData/kConnAck
+  // by socket id.
+  const u16 port = static_cast<u16>(pkt.sel);
   switch (pkt.kind) {
-    case PendingPacket::kDatagram:
+    case Packet::kDatagram:
       for (u32 i = 0; i < sockets_.size(); ++i) {
         Socket& s = sockets_[i];
-        if (s.used && s.proto == 0 && s.bound && s.port == pkt.port) {
+        if (s.used && s.proto == 0 && s.bound && s.port == port) {
           s.rx.push_back(pkt.len);
           wake_channel(chan(kChanSockRecv, i));
           return;
         }
       }
       return;  // no listener: dropped
-    case PendingPacket::kSyn:
+    case Packet::kSyn:
       for (u32 i = 0; i < sockets_.size(); ++i) {
         Socket& s = sockets_[i];
-        if (s.used && s.proto == 1 && s.listening && s.port == pkt.port) {
+        if (s.used && s.proto == 1 && s.listening && s.port == port) {
           s.accept_queue.push_back(pkt.len);
           wake_channel(chan(kChanSockAccept, i));
           return;
         }
       }
       return;
-    case PendingPacket::kData:
-      if (pkt.sock < sockets_.size() && sockets_[pkt.sock].used) {
-        sockets_[pkt.sock].rx.push_back(pkt.len);
-        wake_channel(chan(kChanSockRecv, pkt.sock));
+    case Packet::kData:
+      if (pkt.sel < sockets_.size() && sockets_[pkt.sel].used) {
+        sockets_[pkt.sel].rx.push_back(pkt.len);
+        wake_channel(chan(kChanSockRecv, pkt.sel));
       }
       return;
-    case PendingPacket::kConnAck:
-      if (pkt.sock < sockets_.size() && sockets_[pkt.sock].used) {
-        sockets_[pkt.sock].connected = true;
-        sockets_[pkt.sock].conn_pending = false;
-        wake_channel(chan(kChanSockConn, pkt.sock));
+    case Packet::kConnAck:
+      if (pkt.sel < sockets_.size() && sockets_[pkt.sel].used) {
+        sockets_[pkt.sel].connected = true;
+        sockets_[pkt.sel].conn_pending = false;
+        wake_channel(chan(kChanSockConn, pkt.sel));
       }
       return;
-  }
-}
-
-io::IoPlane::Packet OsRuntime::encode_packet(const PendingPacket& pkt) {
-  // kDatagram/kSyn select by port; kData/kConnAck by socket id. The ring
-  // payload packs whichever selector the kind uses.
-  u32 sel = (pkt.kind == PendingPacket::kDatagram ||
-             pkt.kind == PendingPacket::kSyn)
-                ? pkt.port
-                : pkt.sock;
-  return {static_cast<u32>(pkt.kind), sel, pkt.len};
-}
-
-OsRuntime::PendingPacket OsRuntime::decode_packet(const io::IoPlane::Packet& p) {
-  PendingPacket pkt;
-  pkt.kind = static_cast<PendingPacket::Kind>(p.kind);
-  pkt.len = p.len;
-  if (pkt.kind == PendingPacket::kDatagram || pkt.kind == PendingPacket::kSyn)
-    pkt.port = static_cast<u16>(p.sel);
-  else
-    pkt.sock = p.sel;
-  return pkt;
-}
-
-void OsRuntime::deliver_packet(const PendingPacket& pkt) {
-  if (io_->enabled()) {
-    io_->nic_rx(encode_packet(pkt));
-  } else {
-    nic_queue_.push_back(pkt);
-    hv_->vcpu().raise_irq(abi::kIrqNet);
-  }
-}
-
-void OsRuntime::deliver_disk_done(u32 pid) {
-  if (io_->enabled()) {
-    io_->blk_complete(pid);
-  } else {
-    disk_done_queue_.push_back(pid);
-    hv_->vcpu().raise_irq(abi::kIrqDisk);
+    default:
+      return;  // unknown kind: dropped
   }
 }
 
 void OsRuntime::schedule_datagram(Cycles at, u16 port, u32 len) {
   events_.schedule_at(at, [this, port, len] {
-    deliver_packet({PendingPacket::kDatagram, port, 0, len});
+    io_->nic_rx({Packet::kDatagram, port, len});
   });
 }
 
@@ -1690,13 +1638,13 @@ void OsRuntime::schedule_connection(Cycles at, u16 port, u32 request_len) {
     if (std::getenv("FC_NET_DEBUG") != nullptr)
       std::fprintf(stderr, "syn fire at %llu\n",
                    (unsigned long long)hv_->vcpu().cycles());
-    deliver_packet({PendingPacket::kSyn, port, 0, request_len});
+    io_->nic_rx({Packet::kSyn, port, request_len});
   });
 }
 
 void OsRuntime::schedule_stream_data(Cycles at, u32 sock_id, u32 len) {
   events_.schedule_at(at, [this, sock_id, len] {
-    deliver_packet({PendingPacket::kData, 0, sock_id, len});
+    io_->nic_rx({Packet::kData, sock_id, len});
   });
 }
 
@@ -1704,7 +1652,7 @@ void OsRuntime::schedule_datagram_stream(Cycles start, Cycles gap, u32 count,
                                          u16 port, u32 len) {
   if (count == 0) return;
   events_.schedule_at(start, [this, start, gap, count, port, len] {
-    deliver_packet({PendingPacket::kDatagram, port, 0, len});
+    io_->nic_rx({Packet::kDatagram, port, len});
     // Reschedule off the *scheduled* time, not the fire time, so the
     // arrival process stays exactly open-loop even when the guest falls
     // behind and events fire late.

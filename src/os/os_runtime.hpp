@@ -37,8 +37,8 @@ struct OsConfig {
   /// IO data-plane tuning. The ring arena is initialized at boot with the
   /// same layout regardless of these knobs (so the memoized boot image is
   /// shared across tunings); only runtime delivery behaviour differs. The
-  /// defaults are the parity configuration — ring transport, cycle-exact
-  /// with io.enabled=false (see src/io/io_plane.hpp).
+  /// defaults are the parity tuning: one IRQ per published completion
+  /// (see src/io/io_plane.hpp).
   io::IoTuning io;
 };
 
@@ -165,9 +165,8 @@ class OsRuntime : public cpu::CpuEnv {
   /// thousands of arrivals through this).
   void schedule_datagram_stream(Cycles start, Cycles gap, u32 count, u16 port,
                                 u32 len);
-  /// The virtio-style data plane (valid after boot()). Delivery routes
-  /// through its rings when config().io.enabled, through the legacy
-  /// per-event deques otherwise.
+  /// The virtio-style data plane (valid after boot()). Every packet and
+  /// disk completion reaches the guest through its rings.
   io::IoPlane* io_plane() { return io_.get(); }
   /// Called whenever the guest sends on a connected socket; may schedule
   /// reply traffic. (The "other end" of every connection.)
@@ -282,13 +281,6 @@ class OsRuntime : public cpu::CpuEnv {
     u32 quantum_left = 0;
   };
 
-  struct PendingPacket {
-    enum Kind { kDatagram, kSyn, kData, kConnAck } kind;
-    u16 port = 0;
-    u32 sock = 0;
-    u32 len = 0;
-  };
-
   // --- helpers -------------------------------------------------------------
   TaskRt& task(u32 pid);
   const TaskRt& task(u32 pid) const;
@@ -331,13 +323,9 @@ class OsRuntime : public cpu::CpuEnv {
   void create_idle_task();
   void start_timer();
   void handle_timer_tick();
-  void apply_packet(const PendingPacket& pkt);
-  // Delivery seam between the device models and the guest: virtio ring when
-  // config().io.enabled, legacy deque + per-event IRQ otherwise.
-  void deliver_packet(const PendingPacket& pkt);
-  void deliver_disk_done(u32 pid);
-  static io::IoPlane::Packet encode_packet(const PendingPacket& pkt);
-  static PendingPacket decode_packet(const io::IoPlane::Packet& pkt);
+  /// Hand one drained NIC record to the socket layer. The record was read
+  /// back from guest memory, so an unknown kind or socket id is dropped.
+  void apply_packet(const io::IoPlane::Packet& pkt);
 
   // KSVC implementations.
   void ksvc_sched_decide(cpu::Vcpu& vcpu);
@@ -369,8 +357,6 @@ class OsRuntime : public cpu::CpuEnv {
   std::array<Socket, 128> sockets_;
   u32 tty_input_available_ = 0;
 
-  std::deque<PendingPacket> nic_queue_;
-  std::deque<u32> disk_done_queue_;  // pids
   u32 tty_pending_keys_ = 0;
   SendResponder send_responder_;
   std::unique_ptr<io::IoPlane> io_;

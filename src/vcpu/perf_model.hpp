@@ -63,9 +63,9 @@ struct PerfModel {
   // Metered DMA (the virtio-style IO data plane, src/io). Charged per
   // descriptor the device fills plus per 256-byte chunk of modeled payload,
   // but only when the plane's tuning enables metering (IoTuning::meter_dma)
-  // — the parity configuration charges nothing, which is what keeps the
-  // ring transport cycle-exact with the legacy per-event path (the io
-  // lockstep test depends on that identity).
+  // — the parity tuning charges nothing, so IO delivery costs the guest
+  // only the interrupt handler it runs (tests/io_test.cpp checks that
+  // dma_cycles_charged stays 0 there).
   u32 cost_dma_per_desc = 40;
   u32 cost_dma_per_256b = 8;
   /// How long a "missed" interrupt edge stays lost when views are switched

@@ -191,7 +191,6 @@ TEST(EngineNaive, NaiveSwitchCostsIncludeFullFlush) {
   harness::GuestSystem sys;
   core::EngineOptions opts;
   opts.delta_switch_fastpath = false;
-  opts.scoped_tlb_invalidation = false;
   core::FaceChangeEngine engine(sys.hv(), sys.os().kernel(), opts);
   engine.enable();
   u32 view = engine.load_view(harness::profile_of("top"));
@@ -294,7 +293,6 @@ TEST(EngineRegression, ModuleOverrideInsideBasePdeRangeSurvivesSwitch) {
     harness::GuestSystem sys;
     core::EngineOptions opts;
     opts.delta_switch_fastpath = fastpath;
-    opts.scoped_tlb_invalidation = fastpath;
     opts.builder.shadow_unlisted_modules = false;
     core::FaceChangeEngine engine(sys.hv(), sys.os().kernel(), opts);
     mem::Machine& machine = sys.hv().machine();
@@ -349,7 +347,6 @@ TEST(EngineEquivalence, FastPathMatchesNaiveByteForByte) {
   harness::GuestSystem naive_sys;
   core::EngineOptions naive_opts;
   naive_opts.delta_switch_fastpath = false;
-  naive_opts.scoped_tlb_invalidation = false;
   core::FaceChangeEngine fast(fast_sys.hv(), fast_sys.os().kernel());
   core::FaceChangeEngine naive(naive_sys.hv(), naive_sys.os().kernel(),
                                naive_opts);

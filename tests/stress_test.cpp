@@ -148,7 +148,6 @@ TEST(Stress, RandomizedViewPairsFastNaiveEquivalence) {
   harness::GuestSystem naive_sys;
   core::EngineOptions naive_opts;
   naive_opts.delta_switch_fastpath = false;
-  naive_opts.scoped_tlb_invalidation = false;
   core::FaceChangeEngine fast(fast_sys.hv(), fast_sys.os().kernel());
   core::FaceChangeEngine naive(naive_sys.hv(), naive_sys.os().kernel(),
                                naive_opts);

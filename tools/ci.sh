@@ -163,17 +163,18 @@ bench_smoke() {
 
 fleet_scale_smoke() {
   cmake -B build -S . -DFC_WERROR=ON
-  cmake --build build -j "$jobs" --target fleet_scale fleet_http
+  cmake --build build -j "$jobs" --target fleet_scale fleet_http fctrace
   mkdir -p ci-artifacts
   # The bench re-runs the 8-VM fleet at jobs 1/4/8 with traces on, asserts
-  # the merged outputs match internally, and writes them out; the cmp here
-  # keeps the on-disk artifacts honest too (and fails loudly in CI logs).
+  # the merged outputs match internally, and writes them out; the checks
+  # here keep the on-disk artifacts honest too. `fctrace diff` names the
+  # first VM and event that differ, so a failure says where it diverged.
   ./build/bench/fleet_scale --smoke --determinism-out ci-artifacts
   for j in 4 8; do
     cmp "ci-artifacts/fleet-report-jobs1.json" \
         "ci-artifacts/fleet-report-jobs$j.json"
-    cmp "ci-artifacts/fleet-trace-jobs1.fcfl" \
-        "ci-artifacts/fleet-trace-jobs$j.fcfl"
+    ./build/tools/fctrace diff "ci-artifacts/fleet-trace-jobs1.fcfl" \
+                               "ci-artifacts/fleet-trace-jobs$j.fcfl"
   done
   echo "fleet-scale-smoke: report + FCFL trace byte-identical at jobs 1/4/8"
   # Same gate for the IO-heavy fleet: the open-loop HTTP bench replays its
@@ -183,8 +184,8 @@ fleet_scale_smoke() {
   for j in 4 8; do
     cmp "ci-artifacts/io-report-jobs1.json" \
         "ci-artifacts/io-report-jobs$j.json"
-    cmp "ci-artifacts/io-trace-jobs1.fcfl" \
-        "ci-artifacts/io-trace-jobs$j.fcfl"
+    ./build/tools/fctrace diff "ci-artifacts/io-trace-jobs1.fcfl" \
+                               "ci-artifacts/io-trace-jobs$j.fcfl"
   done
   echo "fleet-scale-smoke: IO fleet report + FCFL trace byte-identical" \
        "at jobs 1/4/8"
@@ -222,7 +223,7 @@ perf_gate() {
   mkdir -p ci-artifacts
   # Fresh artifacts: the release throughput bench (also enforces its own
   # tier + profiler-overhead thresholds), the fleet smoke bench, the IO
-  # saturation-knee bench (enforces its own >= 3x batched-over-legacy
+  # saturation-knee bench (enforces its own >= 3x batched-over-per-IRQ
   # gate), and the deterministic cycle attribution of the 12-app scenario.
   ./build/bench/interp_throughput
   ./build/bench/fleet_scale --smoke

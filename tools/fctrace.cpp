@@ -34,11 +34,15 @@
 //       Convert a recording to Chrome trace_event JSON (Perfetto-loadable).
 //       FCFL containers need --vm to select one stream.
 //   fctrace diff A B
-//       Byte-level and event-level comparison of two recordings.
+//       Byte-level and event-level comparison of two recordings. For two
+//       FCFL containers, compares stream by stream in VM-id order and names
+//       the first VM that differs, then its first divergent event. Exits
+//       non-zero on any difference.
 //   fctrace selftest
 //       Record the same scenario twice in-process and verify the two
-//       serialized streams are byte-identical (the determinism contract).
-//       Wired into ctest as `trace_determinism`.
+//       serialized streams are byte-identical (the determinism contract),
+//       then check that `diff` pinpoints an event changed in one VM of an
+//       FCFL container. Wired into ctest as `trace_determinism`.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -75,7 +79,7 @@ namespace {
       "           [--budget cycles] [--period cycles] [--interval cycles]\n"
       "           [-o timeline.json] [--column name]\n"
       "  chrome <trace.fctrace> [-o out.json] [--vm id]\n"
-      "  diff <a.fctrace> <b.fctrace>\n"
+      "  diff <a.fctrace|a.fcfl> <b.fctrace|b.fcfl>\n"
       "  selftest\n"
       "flags: --log-level LEVEL (or FC_LOG_LEVEL env)\n");
   std::exit(2);
@@ -507,13 +511,19 @@ int cmd_chrome(const std::string& path, std::string out_path, int vm_filter) {
   return 0;
 }
 
-int cmd_diff(const std::string& path_a, const std::string& path_b) {
-  std::vector<u8> raw_a = read_file(path_a);
-  std::vector<u8> raw_b = read_file(path_b);
-  if (raw_a == raw_b) {
-    std::printf("identical (%zu bytes)\n", raw_a.size());
-    return 0;
-  }
+/// Where two recordings first differ: the VM (FCFL containers only; -1 for
+/// plain streams) and the event index within its stream (-1 when the events
+/// agree and only the header or the stream count differs).
+struct Divergence {
+  i64 vm = -1;
+  i64 event = -1;
+};
+
+/// Event-level comparison of two FCTR streams whose bytes differ: print the
+/// event-count mismatch and the first divergent event. Returns its index,
+/// or -1 when every compared event agrees.
+i64 report_stream_diff(const std::vector<u8>& raw_a,
+                       const std::vector<u8>& raw_b) {
   obs::TraceHeader ha, hb;
   std::vector<obs::TraceEvent> ea, eb;
   parse_or_die(raw_a, &ha, &ea);
@@ -523,6 +533,7 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
                 hb.event_count);
   std::size_t n = std::min(ea.size(), eb.size());
   u64 mismatches = 0;
+  i64 first = -1;
   for (std::size_t i = 0; i < n; ++i) {
     const obs::TraceEvent& a = ea[i];
     const obs::TraceEvent& b = eb[i];
@@ -531,6 +542,7 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
                 a.arg2 == b.arg2 && a.arg3 == b.arg3;
     if (same) continue;
     if (mismatches == 0) {
+      first = static_cast<i64>(i);
       std::printf("first divergence at event %zu:\n", i);
       std::printf("  a: %s\n", obs::render_event(a).c_str());
       std::printf("  b: %s\n", obs::render_event(b).c_str());
@@ -539,7 +551,54 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
   }
   std::printf("%llu of %zu compared events differ\n",
               static_cast<unsigned long long>(mismatches), n);
-  return 1;
+  return first;
+}
+
+/// Compare two recordings (plain FCTR streams or FCFL containers). Returns
+/// true when they differ, filling `where` with the first divergence.
+bool diff_recordings(std::vector<u8> raw_a, std::vector<u8> raw_b,
+                     Divergence* where) {
+  if (raw_a == raw_b) {
+    std::printf("identical (%zu bytes)\n", raw_a.size());
+    return false;
+  }
+  std::vector<std::pair<u32, std::vector<u8>>> sa, sb;
+  const bool fleet_a = parse_fleet_or_die(raw_a, &sa);
+  const bool fleet_b = parse_fleet_or_die(raw_b, &sb);
+  if (fleet_a != fleet_b) {
+    std::printf("one input is an FCFL container, the other a plain stream\n");
+    return true;
+  }
+  if (!fleet_a) {
+    where->event = report_stream_diff(raw_a, raw_b);
+    return true;
+  }
+  if (sa.size() != sb.size())
+    std::printf("vm stream counts differ: %zu vs %zu\n", sa.size(),
+                sb.size());
+  const std::size_t n = std::min(sa.size(), sb.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& [vm_a, bytes_a] = sa[i];
+    const auto& [vm_b, bytes_b] = sb[i];
+    if (vm_a == vm_b && bytes_a == bytes_b) continue;
+    if (differing++ != 0) continue;
+    if (vm_a != vm_b) {
+      std::printf("stream %zu: vm ids differ: %u vs %u\n", i, vm_a, vm_b);
+      continue;
+    }
+    where->vm = vm_a;
+    std::printf("first differing vm: %u\n", vm_a);
+    where->event = report_stream_diff(bytes_a, bytes_b);
+  }
+  std::printf("%zu of %zu compared vm streams differ\n", differing, n);
+  return true;
+}
+
+int cmd_diff(const std::string& path_a, const std::string& path_b) {
+  Divergence where;
+  return diff_recordings(read_file(path_a), read_file(path_b), &where) ? 1
+                                                                       : 0;
 }
 
 int cmd_selftest() {
@@ -558,20 +617,7 @@ int cmd_selftest() {
   }
   if (first != second) {
     std::printf("FAIL: streams differ — determinism contract broken\n");
-    obs::TraceHeader ha, hb;
-    std::vector<obs::TraceEvent> ea, eb;
-    if (obs::parse_trace(first, &ha, &ea) &&
-        obs::parse_trace(second, &hb, &eb)) {
-      std::size_t n = std::min(ea.size(), eb.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (std::memcmp(&ea[i], &eb[i], sizeof(obs::TraceEvent)) == 0)
-          continue;
-        std::printf("first divergence at event %zu:\n  a: %s\n  b: %s\n", i,
-                    obs::render_event(ea[i]).c_str(),
-                    obs::render_event(eb[i]).c_str());
-        break;
-      }
-    }
+    report_stream_diff(first, second);
     return 1;
   }
   // Round-trip sanity: the stream parses back to the same events.
@@ -584,6 +630,47 @@ int cmd_selftest() {
   }
   std::printf("OK: %u events byte-identical across two runs\n",
               header.event_count);
+
+  // `diff` on FCFL files: three VM streams, one event changed in vm 1.
+  const u32 changed_event = header.event_count / 2;
+  const std::size_t header_bytes =
+      first.size() - events.size() * obs::kSerializedEventSize;
+  const std::size_t arg0_offset = 12;  // when(8) kind(1) flags(1) view(2)
+  fleet::FleetReport fleet_a;
+  fleet_a.vms.resize(3);
+  for (u32 vm = 0; vm < fleet_a.vms.size(); ++vm) {
+    fleet_a.vms[vm].vm = vm;
+    fleet_a.vms[vm].trace = first;
+  }
+  fleet::FleetReport fleet_b = fleet_a;
+  fleet_b.vms[1].trace[header_bytes +
+                       changed_event * obs::kSerializedEventSize +
+                       arg0_offset] ^= 1;
+  // Written to the working directory (the build tree under ctest), so
+  // concurrent runs from different builds do not share the files.
+  const std::string path_a = "fctrace-selftest-a.fcfl";
+  const std::string path_b = "fctrace-selftest-b.fcfl";
+  const std::vector<u8> merged_a = fleet_a.merged_trace();
+  const std::vector<u8> merged_b = fleet_b.merged_trace();
+  write_file(path_a, merged_a.data(), merged_a.size());
+  write_file(path_b, merged_b.data(), merged_b.size());
+  Divergence same_where, where;
+  const bool self_differs =
+      diff_recordings(read_file(path_a), read_file(path_a), &same_where);
+  const bool differs =
+      diff_recordings(read_file(path_a), read_file(path_b), &where);
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+  if (self_differs || !differs || where.vm != 1 ||
+      where.event != static_cast<i64>(changed_event)) {
+    std::printf("FAIL: diff did not pinpoint vm 1, event %u (got vm %lld, "
+                "event %lld)\n",
+                changed_event, static_cast<long long>(where.vm),
+                static_cast<long long>(where.event));
+    return 1;
+  }
+  std::printf("OK: diff names vm 1, event %u in an FCFL container\n",
+              changed_event);
   return 0;
 }
 
