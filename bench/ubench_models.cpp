@@ -418,7 +418,7 @@ OpenLoopStats run_http_workload(harness::GuestSystem& sys,
 }
 
 double run_httperf(double rate_per_second, const HttperfOptions& options) {
-  harness::GuestSystem sys(options.os_config);
+  harness::GuestSystem sys;
   std::unique_ptr<core::FaceChangeEngine> engine;
   if (options.face_change) {
     engine = std::make_unique<core::FaceChangeEngine>(

@@ -66,9 +66,6 @@ struct HttperfOptions {
   u32 total_requests = 100;
   Cycles per_request_compute = 1'480'000;
   core::EngineOptions engine;  // ablation knobs
-  /// OS/device tuning (fig7_apache_io and fleet_http set the IO data
-  /// plane's coalescing and DMA knobs through os_config.io).
-  os::OsConfig os_config;
 };
 double run_httperf(double rate_per_second, const HttperfOptions& options);
 

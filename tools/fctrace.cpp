@@ -646,21 +646,11 @@ int cmd_selftest() {
   fleet_b.vms[1].trace[header_bytes +
                        changed_event * obs::kSerializedEventSize +
                        arg0_offset] ^= 1;
-  // Written to the working directory (the build tree under ctest), so
-  // concurrent runs from different builds do not share the files.
-  const std::string path_a = "fctrace-selftest-a.fcfl";
-  const std::string path_b = "fctrace-selftest-b.fcfl";
   const std::vector<u8> merged_a = fleet_a.merged_trace();
   const std::vector<u8> merged_b = fleet_b.merged_trace();
-  write_file(path_a, merged_a.data(), merged_a.size());
-  write_file(path_b, merged_b.data(), merged_b.size());
   Divergence same_where, where;
-  const bool self_differs =
-      diff_recordings(read_file(path_a), read_file(path_a), &same_where);
-  const bool differs =
-      diff_recordings(read_file(path_a), read_file(path_b), &where);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
+  const bool self_differs = diff_recordings(merged_a, merged_a, &same_where);
+  const bool differs = diff_recordings(merged_a, merged_b, &where);
   if (self_differs || !differs || where.vm != 1 ||
       where.event != static_cast<i64>(changed_event)) {
     std::printf("FAIL: diff did not pinpoint vm 1, event %u (got vm %lld, "
