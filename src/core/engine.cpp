@@ -191,8 +191,12 @@ void FaceChangeEngine::set_predicted_reachable(u32 view_id, RangeList spans) {
 }
 
 u32 FaceChangeEngine::load_view(const KernelViewConfig& config) {
+  return load_view(builder_.plan(config));
+}
+
+u32 FaceChangeEngine::load_view(const ViewLayout& layout) {
   u32 id = next_view_id_++;
-  views_[id] = builder_.build(config, id);
+  views_[id] = builder_.build(layout, id);
   [[maybe_unused]] const KernelView& built = *views_[id];
   FC_TRACE_EVENT(kViewLoad, 0, id, built.shadow_frames.size() * kPageSize,
                  built.base_pdes.size(), built.module_ptes.size(), 0);
@@ -208,13 +212,7 @@ void FaceChangeEngine::adopt_shared_views(const SharedImage& image) {
            << "machine diverged from the shared image before view adoption ("
            << host.frame_count() << " frames, expected "
            << image.frames_after_boot << ")");
-  for (const SharedView& sv : image.views) {
-    u32 id = next_view_id_++;
-    views_[id] = builder_.build_shared(sv, id);
-    [[maybe_unused]] const KernelView& built = *views_[id];
-    FC_TRACE_EVENT(kViewLoad, 0, id, built.shadow_frames.size() * kPageSize,
-                   built.base_pdes.size(), built.module_ptes.size(), 0);
-  }
+  for (const SharedView& sv : image.views) load_view(sv);
   FC_CHECK(host.frame_count() == image.frames_after_views,
            << "shared view rehydration allocated unexpected frames");
   if (!image.audit.empty()) install_static_audit(image.audit);

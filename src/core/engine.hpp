@@ -60,6 +60,8 @@ class FaceChangeEngine : public hv::ExitHandler {
 
   /// Build a view from a profile and register it. Returns the view id.
   u32 load_view(const KernelViewConfig& config);
+  /// Build a planned view (see view_builder().plan) and register it.
+  u32 load_view(const ViewLayout& layout);
 
   /// Fleet path: rehydrate every view captured in `image` (ids come out
   /// 1..image.views.size(), matching the template load order the image's
@@ -82,6 +84,8 @@ class FaceChangeEngine : public hv::ExitHandler {
   void force_activate(u32 view_id);
   u32 active_view_id() const { return active_view_; }
   const KernelView* view(u32 view_id) const;
+  /// The builder load_view uses (and plans layouts with).
+  const ViewBuilder& view_builder() const { return builder_; }
 
   RecoveryLog& recovery_log() { return recovery_log_; }
   const RecoveryEngine::Stats& recovery_stats() const {

@@ -75,20 +75,37 @@ bool RecoveryEngine::region_for(const KernelView& view, GVirt pc,
   return true;
 }
 
+void RecoveryEngine::load_range(KernelView& view, GVirt start, GVirt end) {
+  mem::Machine& machine = hv_->machine();
+  // These writes restore pristine function bytes over UD2 filler the vCPU
+  // may have cached decodes of. Attribute the resulting block-cache
+  // invalidations as code loads.
+  mem::HostMemory::WriteCauseScope cause(machine.host(),
+                                         mem::FrameWriteCause::kCodeLoad);
+  for (GVirt at = start; at < end; ++at) {
+    GPhys pa = GuestLayout::kernel_pa(at);
+    auto it = view.shadow_frames.find(pa >> kPageShift);
+    if (it == view.shadow_frames.end()) continue;  // not view-managed
+    machine.host().write8(it->second, page_offset(pa),
+                          hv_->pristine_read8(at));
+  }
+  view.loaded.insert(start, end);
+}
+
 void RecoveryEngine::recover_function(KernelView& view, GVirt addr,
                                       const Region& region, GVirt* start,
                                       GVirt* end) {
   if (builder_->options().whole_function_loading) {
     ViewBuilder::Bounds b =
         builder_->function_bounds(addr, region.begin, region.end);
-    builder_->load_range(view, b.start, b.end);
+    load_range(view, b.start, b.end);
     *start = b.start;
     *end = b.end;
   } else {
     // Block-granularity ablation: recover a small fixed window.
     GVirt lo = std::max(region.begin, addr & ~15u);
     GVirt hi = std::min(region.end, lo + 64);
-    builder_->load_range(view, lo, hi);
+    load_range(view, lo, hi);
     *start = lo;
     *end = hi;
   }

@@ -63,7 +63,7 @@ class RecoveryLog {
 class RecoveryEngine {
  public:
   RecoveryEngine(hv::Hypervisor& hv, const os::KernelImage& kernel,
-                 ViewBuilder& builder, RecoveryLog& log)
+                 const ViewBuilder& builder, RecoveryLog& log)
       : hv_(&hv), kernel_(&kernel), builder_(&builder), log_(&log) {}
 
   /// Handle an invalid-opcode trap at `pc` under `view`. Returns false if
@@ -117,13 +117,16 @@ class RecoveryEngine {
     GVirt begin = 0, end = 0;
   };
   bool region_for(const KernelView& view, GVirt pc, Region* out) const;
+  /// Copy pristine bytes for [start,end) into the view's shadow frames
+  /// (write barrier attributed as a code load) and mark them loaded.
+  void load_range(KernelView& view, GVirt start, GVirt end);
   void recover_function(KernelView& view, GVirt addr, const Region& region,
                         GVirt* start, GVirt* end);
   void note_instant(GVirt ret, bool from_scan);
 
   hv::Hypervisor* hv_;
   const os::KernelImage* kernel_;
-  ViewBuilder* builder_;
+  const ViewBuilder* builder_;
   RecoveryLog* log_;
   const StaticAudit* audit_ = nullptr;
   std::vector<GVirt> instant_returns_;

@@ -1,10 +1,8 @@
 #include "core/shared_image.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
-#include "core/view.hpp"
+#include "core/viewbuilder.hpp"
 
 namespace fc::core {
 
@@ -20,22 +18,13 @@ void SharedImage::capture_machine(const mem::Machine& m) {
   }
 }
 
-void SharedImage::capture_view(const mem::HostMemory& host,
-                               const KernelView& view,
-                               const KernelViewConfig& config) {
-  std::unordered_set<u32> module_pages;
-  for (const KernelView::PteOverride& pte : view.module_ptes)
-    module_pages.insert(pte.gpa() >> kPageShift);
-
-  SharedView sv;
-  sv.config = config;
-  sv.loaded = view.loaded;
-  for (u32 gpp : view.shadow_page_order) {
-    HostFrame f = view.shadow_frames.at(gpp);
-    sv.pages.push_back({gpp, store.add_page(host.frame(f)),
-                        module_pages.count(gpp) != 0});
+void SharedImage::capture_view(const mem::Machine& m, ViewLayout layout) {
+  std::vector<u8> bytes(kPageSize);
+  for (ViewLayout::Page& p : layout.pages) {
+    ViewBuilder::render_page(m, p.gpp, layout.loaded, bytes);
+    p.store_page = store.add_page(bytes);
   }
-  views.push_back(std::move(sv));
+  views.push_back(std::move(layout));
 }
 
 void SharedImage::finalize() {

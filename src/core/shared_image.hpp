@@ -8,10 +8,12 @@
 // Why descriptors can be captured at all: frame numbers and EPT table ids
 // are allocation-order-deterministic, and a clone VM constructed from the
 // image replays the template's exact allocation order (Machine guest pages
-// in page order, then each view's shadow frames via
-// ViewBuilder::build_shared in the recorded order). The capture records the
-// frame/table counts at each stage and the clone validates them, so a
-// divergence is a hard FC_CHECK, not silent corruption.
+// in page order, then each view's shadow frames in its ViewLayout's page
+// order, through the same ViewBuilder::build the template used). Each view
+// is planned once: capture_view renders the layout's pages into the store,
+// and the template builds its own copy from that same layout. The capture
+// records the frame/table counts at each stage and the clone validates them,
+// so a divergence is a hard FC_CHECK, not silent corruption.
 //
 // A SharedImage is immutable after capture and must outlive every VM
 // constructed from it; concurrent readers need no locks (the only mutable
@@ -22,27 +24,15 @@
 
 #include "core/static_audit.hpp"
 #include "core/switchdelta.hpp"
-#include "core/viewconfig.hpp"
+#include "core/view.hpp"
 #include "mem/shared_frames.hpp"
 #include "os/os_runtime.hpp"
 
 namespace fc::core {
 
-struct KernelView;
-
-/// One kernel view captured into shared store pages.
-struct SharedView {
-  KernelViewConfig config;
-  struct Page {
-    u32 gpp = 0;         // guest-physical page the shadow covers
-    u32 store_page = 0;  // SharedFrameStore id holding its bytes
-    bool module = false;  // true = step-3B PTE override, false = base code
-  };
-  /// In the template's shadow-frame allocation order (see
-  /// KernelView::shadow_page_order).
-  std::vector<Page> pages;
-  RangeList loaded;
-};
+/// One kernel view captured into the store: its layout with every page's
+/// store page filled in.
+using SharedView = ViewLayout;
 
 struct SharedImage {
   mem::SharedFrameStore store;
@@ -80,9 +70,9 @@ struct SharedImage {
   /// Capture every non-zero guest-physical page of the booted template
   /// machine into the store and record it in `machine`.
   void capture_machine(const mem::Machine& m);
-  /// Capture one built view's shadow pages (in allocation order).
-  void capture_view(const mem::HostMemory& host, const KernelView& view,
-                    const KernelViewConfig& config);
+  /// Render a planned view's shadow pages from `m`'s pristine frames into
+  /// the store and append the layout, store pages filled in, to `views`.
+  void capture_view(const mem::Machine& m, ViewLayout layout);
   /// Freeze the store and point `machine.store` at it. After this the image
   /// is immutable and VMs may attach.
   void finalize();

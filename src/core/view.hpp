@@ -5,6 +5,7 @@
 // scattered in the kernel heap (step 3B).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,18 +53,32 @@ struct KernelView {
   /// (key = GPA >> 12). Code recovery writes into these.
   std::unordered_map<u32, HostFrame> shadow_frames;
 
-  /// Guest-physical pages in the order their shadow frames were allocated.
-  /// A clone VM replaying this order gets identical frame numbers, which is
-  /// what lets SharedImage capture a view once and rehydrate it per VM
-  /// (including prebuilt switch descriptors, which embed frame numbers).
-  std::vector<u32> shadow_page_order;
-
   /// Currently-loaded code (grows as functions are recovered).
   RangeList loaded;
 
   bool manages_page(GPhys pa) const {
     return shadow_frames.count(pa >> kPageShift) != 0;
   }
+};
+
+/// A planned kernel view (§III-B1): ViewBuilder::plan computes it without
+/// allocating, ViewBuilder::build turns it into a KernelView. Frame numbers
+/// follow `pages` order, so builds of one layout in identical machine states
+/// agree on them (prebuilt switch descriptors embed them).
+struct ViewLayout {
+  KernelViewConfig config;
+  struct Page {
+    u32 gpp = 0;          // guest-physical page the shadow covers
+    bool module = false;  // true = step-3B PTE override, false = base code
+    /// Shared store page holding the rendered bytes (SharedImage views);
+    /// unset = build renders the page into a private frame.
+    std::optional<u32> store_page;
+  };
+  /// Allocation order: base-code pages in page order, then each visible
+  /// module's pages in module-list order.
+  std::vector<Page> pages;
+  /// Code present in the shadows, after whole-function relaxation.
+  RangeList loaded;
 };
 
 /// View id 0 is reserved for the full kernel view.

@@ -1,9 +1,9 @@
 #include "core/viewbuilder.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
-#include "core/shared_image.hpp"
 #include "hv/guest_abi.hpp"
 #include "os/kbuilder.hpp"
 #include "support/check.hpp"
@@ -60,80 +60,39 @@ ViewBuilder::Bounds ViewBuilder::function_bounds(GVirt addr,
   return Bounds{start, end};
 }
 
-void ViewBuilder::load_range(KernelView& view, GVirt start, GVirt end) const {
-  mem::Machine& machine = hv_->machine();
-  // These writes restore pristine function bytes into shadow frames — at
-  // build time that's setup, but on the recovery path they overwrite UD2
-  // filler the vCPU may have cached decodes of. Attribute the resulting
-  // block-cache invalidations as code loads.
-  mem::HostMemory::WriteCauseScope cause(machine.host(),
-                                         mem::FrameWriteCause::kCodeLoad);
-  for (GVirt at = start; at < end; ++at) {
-    GPhys pa = GuestLayout::kernel_pa(at);
-    auto it = view.shadow_frames.find(pa >> kPageShift);
-    if (it == view.shadow_frames.end()) continue;  // not view-managed
-    machine.host().write8(it->second, page_offset(pa),
-                          hv_->pristine_read8(at));
-  }
-  view.loaded.insert(start, end);
-}
-
-std::unique_ptr<KernelView> ViewBuilder::build(const KernelViewConfig& config,
-                                               u32 id) {
-  auto view = std::make_unique<KernelView>();
-  view->id = id;
-  view->config = config;
-  mem::Machine& machine = hv_->machine();
-  mem::Ept& ept = machine.ept();
-
-  // ---- Base kernel code region: one shadow frame per page, UD2-filled.
-  const GVirt text_begin = kernel_->text_base;
-  const GVirt text_end = kernel_->text_end();
-  const GPhys code_pa_begin = GuestLayout::kernel_pa(page_base(text_begin));
-  const GPhys code_pa_end =
-      GuestLayout::kernel_pa((text_end + kPageMask) & ~kPageMask);
-  for (GPhys pa = code_pa_begin; pa < code_pa_end; pa += kPageSize) {
-    HostFrame f = machine.host().alloc_frame();
-    fill_ud2(machine.host().frame(f));
-    view->shadow_frames[pa >> kPageShift] = f;
-    view->shadow_page_order.push_back(pa >> kPageShift);
-  }
-
-  // ---- Load whole functions (or raw blocks for the ablation).
-  for (const auto& r : config.base.ranges()) {
-    GVirt lo = std::max(r.begin, text_begin);
-    GVirt hi = std::min(r.end, text_end);
+void ViewBuilder::plan_ranges(const RangeList& ranges, GVirt offset,
+                              GVirt region_begin, GVirt region_end,
+                              RangeList* loaded) const {
+  for (const auto& r : ranges.ranges()) {
+    GVirt lo = std::max(offset + r.begin, region_begin);
+    GVirt hi = std::min(offset + r.end, region_end);
     if (lo >= hi) continue;
-    if (options_.whole_function_loading) {
-      GVirt at = lo;
-      while (at < hi) {
-        Bounds b = function_bounds(at, text_begin, text_end);
-        load_range(*view, b.start, b.end);
-        at = std::max(b.end, at + 1);
-      }
-    } else {
-      load_range(*view, lo, hi);
+    if (!options_.whole_function_loading) {
+      loaded->insert(lo, hi);
+      continue;
+    }
+    for (GVirt at = lo; at < hi;) {
+      Bounds b = function_bounds(at, region_begin, region_end);
+      loaded->insert(b.start, b.end);
+      at = std::max(b.end, at + 1);
     }
   }
+}
 
-  // ---- Per-view EPT tables for the base code PDEs (step 3A).
-  u32 pde_lo = mem::Ept::pde_index_of(code_pa_begin);
-  u32 pde_hi = mem::Ept::pde_index_of(code_pa_end - 1);
-  for (u32 pde = pde_lo; pde <= pde_hi; ++pde) {
-    mem::EptTableId table = ept.alloc_table();
-    ept.copy_table(table, ept.pde(pde));  // keep identity for non-code pages
-    view->base_pdes.push_back({pde, table});
-  }
-  // Point the code pages of those tables at the shadow frames (base_pdes
-  // holds [pde_lo, pde_hi] contiguously, so the table is indexable).
-  for (const auto& [page, frame] : view->shadow_frames) {
-    GPhys pa = static_cast<GPhys>(page) << kPageShift;
-    if (pa < code_pa_begin || pa >= code_pa_end) continue;
-    const KernelView::BasePde& bp =
-        view->base_pdes[mem::Ept::pde_index_of(pa) - pde_lo];
-    ept.set_pte(bp.table, mem::Ept::pte_slot_of(pa),
-                mem::EptEntry{true, frame});
-  }
+ViewLayout ViewBuilder::plan(const KernelViewConfig& config) const {
+  ViewLayout layout;
+  layout.config = config;
+
+  // ---- Base kernel code region: one shadow per page, whole functions (or
+  // raw blocks for the ablation) loaded.
+  const GVirt text_begin = kernel_->text_base;
+  const GVirt text_end = kernel_->text_end();
+  const GPhys code_pa_end =
+      GuestLayout::kernel_pa((text_end + kPageMask) & ~kPageMask);
+  for (GPhys pa = GuestLayout::kernel_pa(page_base(text_begin));
+       pa < code_pa_end; pa += kPageSize)
+    layout.pages.push_back({pa >> kPageShift, false, {}});
+  plan_ranges(config.base, 0, text_begin, text_end, &layout.loaded);
 
   // ---- Modules (step 3B): walk the guest module list to resolve load
   // addresses; shadow listed modules with their profiled functions loaded,
@@ -143,35 +102,74 @@ std::unique_ptr<KernelView> ViewBuilder::build(const KernelViewConfig& config,
     bool listed = cfg_it != config.modules.end();
     if (!listed && !options_.shadow_unlisted_modules) continue;
 
-    GPhys mod_pa = GuestLayout::kernel_pa(mod.base);
     GPhys mod_pa_end = GuestLayout::kernel_pa(
         (mod.base + mod.size + kPageMask) & ~kPageMask);
-    for (GPhys pa = page_base(mod_pa); pa < mod_pa_end; pa += kPageSize) {
-      HostFrame f = machine.host().alloc_frame();
-      fill_ud2(machine.host().frame(f));
-      view->shadow_frames[pa >> kPageShift] = f;
-      view->shadow_page_order.push_back(pa >> kPageShift);
-      view->module_ptes.push_back({mem::Ept::pde_index_of(pa),
-                                   mem::Ept::pte_slot_of(pa), f,
-                                   machine.boot_frame_for(pa)});
+    for (GPhys pa = page_base(GuestLayout::kernel_pa(mod.base));
+         pa < mod_pa_end; pa += kPageSize)
+      layout.pages.push_back({pa >> kPageShift, true, {}});
+    if (listed)
+      plan_ranges(cfg_it->second, mod.base, mod.base, mod.base + mod.size,
+                  &layout.loaded);
+  }
+  return layout;
+}
+
+void ViewBuilder::render_page(const mem::Machine& machine, u32 gpp,
+                              const RangeList& loaded, std::span<u8> out) {
+  fill_ud2(out);
+  const GPhys pa = static_cast<GPhys>(gpp) << kPageShift;
+  const GVirt va = GuestLayout::kernel_va(pa);
+  const u64 va_end = static_cast<u64>(va) + kPageSize;
+  const u8* pristine =
+      machine.host().frame(machine.boot_frame_for(pa)).data();
+  const std::vector<RangeList::Range>& ranges = loaded.ranges();
+  auto it = std::upper_bound(
+      ranges.begin(), ranges.end(), va,
+      [](GVirt v, const RangeList::Range& r) { return v < r.end; });
+  for (; it != ranges.end() && it->begin < va_end; ++it) {
+    const u32 lo = std::max(it->begin, va) - va;
+    const u32 hi = static_cast<u32>(std::min<u64>(it->end, va_end) - va);
+    std::memcpy(out.data() + lo, pristine + lo, hi - lo);
+  }
+}
+
+std::unique_ptr<KernelView> ViewBuilder::build(const ViewLayout& layout,
+                                               u32 id) {
+  auto view = std::make_unique<KernelView>();
+  view->id = id;
+  view->config = layout.config;
+  view->loaded = layout.loaded;
+  mem::Machine& machine = hv_->machine();
+  mem::HostMemory& host = machine.host();
+  mem::Ept& ept = machine.ept();
+
+  // Shadow frames in layout order (frame numbers follow it), each mapped
+  // by a PTE override (module, step 3B) or by a per-view copy of its PDE's
+  // table (base code, step 3A; seeded from the current table so non-code
+  // pages keep their mapping).
+  for (const ViewLayout::Page& p : layout.pages) {
+    HostFrame f;
+    if (p.store_page) {
+      f = host.adopt_shared(*p.store_page);
+    } else {
+      f = host.alloc_frame();
+      render_page(machine, p.gpp, layout.loaded, host.frame(f));
     }
-    if (listed) {
-      for (const auto& r : cfg_it->second.ranges()) {
-        GVirt lo = mod.base + r.begin;
-        GVirt hi = std::min(mod.base + r.end, mod.base + mod.size);
-        if (lo >= hi) continue;
-        if (options_.whole_function_loading) {
-          GVirt at = lo;
-          while (at < hi) {
-            Bounds b = function_bounds(at, mod.base, mod.base + mod.size);
-            load_range(*view, b.start, b.end);
-            at = std::max(b.end, at + 1);
-          }
-        } else {
-          load_range(*view, lo, hi);
-        }
-      }
+    view->shadow_frames[p.gpp] = f;
+    const GPhys pa = static_cast<GPhys>(p.gpp) << kPageShift;
+    const u32 pde = mem::Ept::pde_index_of(pa);
+    if (p.module) {
+      view->module_ptes.push_back(
+          {pde, mem::Ept::pte_slot_of(pa), f, machine.boot_frame_for(pa)});
+      continue;
     }
+    if (view->base_pdes.empty() || view->base_pdes.back().pde_index != pde) {
+      mem::EptTableId table = ept.alloc_table();
+      ept.copy_table(table, ept.pde(pde));
+      view->base_pdes.push_back({pde, table});
+    }
+    ept.set_pte(view->base_pdes.back().table, mem::Ept::pte_slot_of(pa),
+                mem::EptEntry{true, f});
   }
 
   // Keep module overrides in (pde, slot) order so switch descriptors built
@@ -185,63 +183,8 @@ std::unique_ptr<KernelView> ViewBuilder::build(const KernelViewConfig& config,
             });
 
   // The EPT writes performed while *building* are setup cost, not switch
-  // cost; the engine charges switch costs from stat deltas, so reset here
-  // would be wrong — instead the engine snapshots stats around switches.
-  return view;
-}
-
-std::unique_ptr<KernelView> ViewBuilder::build_shared(const SharedView& sv,
-                                                      u32 id) {
-  auto view = std::make_unique<KernelView>();
-  view->id = id;
-  view->config = sv.config;
-  view->loaded = sv.loaded;
-  mem::Machine& machine = hv_->machine();
-  mem::Ept& ept = machine.ept();
-
-  const GVirt text_begin = kernel_->text_base;
-  const GVirt text_end = kernel_->text_end();
-  const GPhys code_pa_begin = GuestLayout::kernel_pa(page_base(text_begin));
-  const GPhys code_pa_end =
-      GuestLayout::kernel_pa((text_end + kPageMask) & ~kPageMask);
-
-  // Shadow frames adopt store pages in the template's allocation order, so
-  // frame numbers come out identical to the template's build().
-  for (const SharedView::Page& p : sv.pages) {
-    HostFrame f = machine.host().adopt_shared(p.store_page);
-    view->shadow_frames[p.gpp] = f;
-    view->shadow_page_order.push_back(p.gpp);
-    if (p.module) {
-      GPhys pa = static_cast<GPhys>(p.gpp) << kPageShift;
-      view->module_ptes.push_back({mem::Ept::pde_index_of(pa),
-                                   mem::Ept::pte_slot_of(pa), f,
-                                   machine.boot_frame_for(pa)});
-    }
-  }
-
-  // Per-view EPT tables, exactly as build() makes them.
-  u32 pde_lo = mem::Ept::pde_index_of(code_pa_begin);
-  u32 pde_hi = mem::Ept::pde_index_of(code_pa_end - 1);
-  for (u32 pde = pde_lo; pde <= pde_hi; ++pde) {
-    mem::EptTableId table = ept.alloc_table();
-    ept.copy_table(table, ept.pde(pde));
-    view->base_pdes.push_back({pde, table});
-  }
-  for (const auto& [page, frame] : view->shadow_frames) {
-    GPhys pa = static_cast<GPhys>(page) << kPageShift;
-    if (pa < code_pa_begin || pa >= code_pa_end) continue;
-    const KernelView::BasePde& bp =
-        view->base_pdes[mem::Ept::pde_index_of(pa) - pde_lo];
-    ept.set_pte(bp.table, mem::Ept::pte_slot_of(pa),
-                mem::EptEntry{true, frame});
-  }
-
-  std::sort(view->module_ptes.begin(), view->module_ptes.end(),
-            [](const KernelView::PteOverride& a,
-               const KernelView::PteOverride& b) {
-              return std::make_pair(a.pde_index, a.slot) <
-                     std::make_pair(b.pde_index, b.slot);
-            });
+  // cost: the engine charges switch costs from stat deltas it snapshots
+  // around each switch.
   return view;
 }
 

@@ -1,20 +1,21 @@
-// Kernel view initialization (§III-B1): allocate shadow pages filled with
-// UD2, locate whole kernel functions around each profiled basic block by
+// Kernel view initialization (§III-B1). plan() decides from the pristine
+// kernel bytes and the guest module list alone which code pages get
+// UD2-filled shadows (base text, then every visible module) and which code
+// is loaded into them: each profiled block relaxed to its whole function by
 // searching for the prologue signature 55 89 E5 (16-byte aligned, possibly
-// across page boundaries), copy them from the pristine kernel code, resolve
-// module load addresses through the guest module list, and prebuild the EPT
+// across page boundaries). build() is the only KernelView constructor: it
+// allocates or adopts the shadow frames in plan order and prebuilds the EPT
 // artifacts the engine swaps in at switch time.
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "core/view.hpp"
 #include "hv/hypervisor.hpp"
 #include "os/kernel_image.hpp"
 
 namespace fc::core {
-
-struct SharedView;
 
 struct ViewBuilderOptions {
   /// Paper default: relax block granularity to whole kernel functions
@@ -32,16 +33,21 @@ class ViewBuilder {
               ViewBuilderOptions options = {})
       : hv_(&hv), kernel_(&kernel), options_(options) {}
 
-  /// Build a view from a config. Allocates shadow host frames and EPT
-  /// tables; does not install anything.
-  std::unique_ptr<KernelView> build(const KernelViewConfig& config, u32 id);
+  /// Plan a view from a config: reads pristine bytes and the module list,
+  /// allocates nothing.
+  ViewLayout plan(const KernelViewConfig& config) const;
 
-  /// Rehydrate a captured view (see core::SharedImage): shadow frames adopt
-  /// the store's pages copy-on-write in the recorded allocation order — no
-  /// UD2 fills, no function-bounds search, no byte writes — and per-VM EPT
-  /// tables are rebuilt exactly as build() would. Produces identical frame
-  /// numbers to the template when replayed in the same machine state.
-  std::unique_ptr<KernelView> build_shared(const SharedView& sv, u32 id);
+  /// Build a view from a layout. Pages carrying a store page adopt it
+  /// copy-on-write; the rest get a private frame rendered by render_page.
+  /// Then the per-PDE base-code tables and the sorted module PTE overrides
+  /// are built. Allocates shadow host frames and EPT tables in layout order;
+  /// does not install anything.
+  std::unique_ptr<KernelView> build(const ViewLayout& layout, u32 id);
+
+  /// The bytes of one shadow page: UD2 everywhere, then the page's share of
+  /// `loaded` copied from its pristine (boot) frame.
+  static void render_page(const mem::Machine& machine, u32 gpp,
+                          const RangeList& loaded, std::span<u8> out);
 
   /// Function-boundary search on the pristine kernel bytes. Returns
   /// [start, end) of the function containing `addr`, clamped to
@@ -56,15 +62,16 @@ class ViewBuilder {
 
   const ViewBuilderOptions& options() const { return options_; }
 
-  /// Copy pristine bytes for [start,end) into a view's shadow frames and
-  /// mark them loaded. Shared with the recovery engine.
-  void load_range(KernelView& view, GVirt start, GVirt end) const;
-
   /// UD2 filler pattern check helper (tests).
   static void fill_ud2(std::span<u8> page);
 
  private:
   bool has_prologue_at(GVirt addr) const;
+  /// Add `ranges` (relative to `offset`) to `loaded`, clipped to
+  /// [region_begin, region_end) and relaxed to whole functions unless the
+  /// block-granularity ablation is on.
+  void plan_ranges(const RangeList& ranges, GVirt offset, GVirt region_begin,
+                   GVirt region_end, RangeList* loaded) const;
 
   hv::Hypervisor* hv_;
   const os::KernelImage* kernel_;

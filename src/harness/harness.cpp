@@ -14,6 +14,21 @@
 
 namespace fc::harness {
 
+namespace {
+
+/// A new image holding a booted template's memory and boot artifacts.
+std::unique_ptr<core::SharedImage> capture_boot(GuestSystem& tmpl) {
+  auto image = std::make_unique<core::SharedImage>();
+  image->capture_machine(tmpl.hv().machine());
+  image->boot.kernel = tmpl.os().kernel();
+  image->boot.modules = tmpl.os().loaded_module_images();
+  image->frames_after_boot = tmpl.hv().machine().host().frame_count();
+  image->frames_after_views = image->frames_after_boot;
+  return image;
+}
+
+}  // namespace
+
 const core::SharedImage& boot_image_for(const os::OsConfig& config) {
   using Key = std::tuple<Cycles, u32, u32, Cycles, Cycles>;
   const Key key{config.timer_period, config.quantum_ticks, config.clocksource,
@@ -26,12 +41,7 @@ const core::SharedImage& boot_image_for(const os::OsConfig& config) {
 
   // Template boot: assemble everything once, then capture.
   GuestSystem tmpl(config, GuestSystem::FreshBoot{});
-  auto image = std::make_unique<core::SharedImage>();
-  image->capture_machine(tmpl.hv().machine());
-  image->boot.kernel = tmpl.os().kernel();
-  image->boot.modules = tmpl.os().loaded_module_images();
-  image->frames_after_boot = tmpl.hv().machine().host().frame_count();
-  image->frames_after_views = image->frames_after_boot;
+  auto image = capture_boot(tmpl);
   image->finalize();
   return *memo.emplace(key, std::move(image)).first->second;
 }
@@ -499,24 +509,20 @@ std::unique_ptr<core::SharedImage> build_shared_image(
 
   // 2. Template boot under the runtime config; capture memory + boot
   //    artifacts before the engine touches anything.
-  auto image = std::make_unique<core::SharedImage>();
   GuestSystem tmpl(options.runtime_config);
-  const mem::HostMemory& host = tmpl.hv().machine().host();
-  image->capture_machine(tmpl.hv().machine());
-  image->boot.kernel = tmpl.os().kernel();
-  image->boot.modules = tmpl.os().loaded_module_images();
-  image->frames_after_boot = host.frame_count();
+  auto image = capture_boot(tmpl);
 
-  // 3. Load every view on the template and capture its shadow pages.
+  // 3. Plan every view once; the template builds it from that layout and
+  //    the image captures the same layout's rendered pages.
   core::FaceChangeEngine engine(tmpl.hv(), tmpl.os().kernel());
   engine.enable();
   std::vector<std::pair<u32, core::KernelViewConfig>> loaded;
   for (const core::KernelViewConfig& config : configs) {
-    u32 id = engine.load_view(config);
-    image->capture_view(host, *engine.view(id), config);
-    loaded.emplace_back(id, config);
+    core::ViewLayout layout = engine.view_builder().plan(config);
+    loaded.emplace_back(engine.load_view(layout), config);
+    image->capture_view(tmpl.hv().machine(), std::move(layout));
   }
-  image->frames_after_views = host.frame_count();
+  image->frames_after_views = tmpl.hv().machine().host().frame_count();
 
   // 4. Prebuild all (from, to) switch descriptors, full view included. The
   //    frame numbers and EPT table ids they embed are valid in any clone

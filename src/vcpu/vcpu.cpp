@@ -557,7 +557,9 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
                            offset, pc);
       return {ExitReason::kNone, pc};
     }
-    if (!trace_cache_.validate_translations(*tr, mmu))
+    // The trace's micro-ops carry the absolute addresses it was built at; a
+    // second mapping of the same frame reaches it under another pc.
+    if (pc != tr->entry_va || !trace_cache_.validate_translations(*tr, mmu))
       return {ExitReason::kNone, pc};
 
     *dispatched = true;

@@ -71,7 +71,7 @@ TEST(ViewBuilder, UnlistedModuleShadowingCanBeDisabled) {
   cfg.app_name = "x";
   cfg.base.insert(sys.os().kernel().text_base,
                   sys.os().kernel().text_base + 16);
-  auto view = builder.build(cfg, 1);
+  auto view = builder.build(builder.plan(cfg), 1);
   // e1000 is loaded and visible but unlisted: with shadowing disabled its
   // pages keep the identity mapping (no PTE overrides at all).
   EXPECT_TRUE(view->module_ptes.empty());

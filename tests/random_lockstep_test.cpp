@@ -12,7 +12,10 @@
 // pairs and batched segments run whole), with IRQ edges, deferred IRQ
 // releases and breakpoints injected at the same architectural points. After
 // every step registers, flags, mode, cycles, retired instructions, TLB-miss
-// counts and the exit must match exactly.
+// counts and the exit must match exactly. One case maps the code frames at a
+// second virtual address and, once the first mapping's traces are hot, runs
+// the program again through the second mapping: traces are keyed by (frame,
+// offset) but their micro-ops carry the first mapping's absolute addresses.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -43,6 +46,9 @@ constexpr GVirt kIdt = kKernelBase + 0x310000;
 constexpr GVirt kEsp0 = kKernelBase + 0x310400;
 constexpr GVirt kCallTable = kKernelBase + 0x320000;
 constexpr GVirt kUnmapped = kKernelBase + kMachineMib * 1024 * 1024;
+// Second mapping of the code pages (aliased-code case only).
+constexpr GVirt kCodeAlias = kKernelBase + 0x1000000;
+constexpr GVirt kAliasDelta = kCodeAlias - kCodePage;
 // Per-site store-target tables of the self-modifying-code construct, and
 // the word their non-code entries point at.
 constexpr GVirt kSmcTables = kDataVa + 0x400;
@@ -422,10 +428,17 @@ enum class Tier { kUncached, kBlockOnly, kTrace };
 constexpr const char* kTierName[] = {"uncached", "block-only", "trace"};
 
 struct Guest {
-  Guest(Tier tier, const Program& p) : machine(kMachineMib), vcpu(machine) {
+  Guest(Tier tier, const Program& p, bool alias_code)
+      : machine(kMachineMib), vcpu(machine) {
     mem::GuestPageTableBuilder builder(machine, 0x1000, 0x100000);
     dir = builder.create_directory();
     builder.map(dir, kKernelBase, 0, machine.guest_phys_pages());
+    if (alias_code) {
+      const u32 code_pages = static_cast<u32>(
+          (p.base - kCodePage + p.bytes.size() + kPageMask) / kPageSize);
+      builder.map(dir, kCodeAlias, mem::GuestLayout::kernel_pa(kCodePage),
+                  code_pages);
+    }
     vcpu.set_cr3(dir);
     vcpu.set_idt_base(kIdt);
     vcpu.set_kstack_ptr_addr(kEsp0);
@@ -508,13 +521,18 @@ struct Coverage {
 
 /// Run one program on all three tiers, in chunks of `max_chunk` (1 = per
 /// instruction) with seeded random chunk sizes above that, comparing the
-/// full state after every chunk. Returns false on divergence.
-bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov) {
+/// full state after every chunk. With `alias_code`, the program runs to its
+/// halt a second time, entered through the code's second mapping. Returns
+/// false on divergence.
+bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov,
+                  bool alias_code = false) {
   const Program p = Generator(seed).generate();
-  Guest g[3] = {Guest(Tier::kUncached, p), Guest(Tier::kBlockOnly, p),
-                Guest(Tier::kTrace, p)};
+  Guest g[3] = {Guest(Tier::kUncached, p, alias_code),
+                Guest(Tier::kBlockOnly, p, alias_code),
+                Guest(Tier::kTrace, p, alias_code)};
   Rng events(seed * 0x9E3779B97F4A7C15ull + max_chunk);
   constexpr u64 kMaxSteps = 400'000;
+  u32 passes = alias_code ? 2 : 1;
   for (u64 step = 0;; ++step) {
     if (step >= kMaxSteps) {
       ADD_FAILURE() << "seed " << seed << ": program did not halt";
@@ -543,12 +561,16 @@ bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov) {
       return false;
     }
     const Exit exit = g[0].exit;
-    if (exit.reason == ExitReason::kHalt) break;
-    if (exit.reason == ExitReason::kBreakpoint) {
+    if (exit.reason == ExitReason::kHalt) {
+      if (--passes == 0) break;
+      // Second pass: same code frames, entered through the alias.
+      for (Guest& x : g) x.vcpu.regs().pc = p.base + kAliasDelta;
+    } else if (exit.reason == ExitReason::kBreakpoint) {
       ++cov->breakpoints;
       for (Guest& x : g) x.vcpu.suppress_breakpoint_once();
     } else if (exit.reason == ExitReason::kFetchFault) {
-      auto it = p.fault_pcs.find(exit.pc);
+      auto it = p.fault_pcs.find(exit.pc >= kCodeAlias ? exit.pc - kAliasDelta
+                                                       : exit.pc);
       if (it == p.fault_pcs.end()) {
         ADD_FAILURE() << "seed " << seed << ": unexpected fault at 0x"
                       << std::hex << exit.pc;
@@ -597,6 +619,16 @@ TEST(RandomLockstep, RandomBudgets) {
   EXPECT_GT(cov.trace_code_writes, 0u);
   EXPECT_GT(cov.faults, 0u);
   EXPECT_GT(cov.breakpoints, 0u);
+}
+
+TEST(RandomLockstep, AliasedCodeMapping) {
+  Coverage cov;
+  for (u64 seed = 1; seed <= 16; ++seed) {
+    if (!run_lockstep(seed, 1, &cov, /*alias_code=*/true)) return;
+    if (!run_lockstep(seed, 97, &cov, /*alias_code=*/true)) return;
+  }
+  EXPECT_GT(cov.dispatched, 0u);
+  EXPECT_GT(cov.trace_insns, 1000u);
 }
 
 }  // namespace

@@ -56,6 +56,16 @@ cd "$(dirname "$0")/.."
 
 jobs="$(nproc)"
 
+# Byte-exact gate: `same_bytes TOOL A B` passes when A and B are identical;
+# otherwise `build/tools/TOOL diff` prints the first difference (fcperf for
+# JSON reports: the first differing path; fctrace for recordings: the first
+# differing VM and event) and the tier fails.
+same_bytes() {
+  cmp "$2" "$3" && return 0
+  "./build/tools/$1" diff "$2" "$3" || true
+  exit 1
+}
+
 tier1() {
   cmake -B build -S . -DFC_WERROR=ON
   cmake --build build -j "$jobs"
@@ -163,16 +173,18 @@ bench_smoke() {
 
 fleet_scale_smoke() {
   cmake -B build -S . -DFC_WERROR=ON
-  cmake --build build -j "$jobs" --target fleet_scale fleet_http fctrace
+  cmake --build build -j "$jobs" --target fleet_scale fleet_http fctrace \
+    fcperf
   mkdir -p ci-artifacts
   # The bench re-runs the 8-VM fleet at jobs 1/4/8 with traces on, asserts
   # the merged outputs match internally, and writes them out; the checks
   # here keep the on-disk artifacts honest too. `fctrace diff` names the
-  # first VM and event that differ, so a failure says where it diverged.
+  # first VM and event that differ, and a report mismatch prints its first
+  # differing JSON path, so a failure says where it diverged.
   ./build/bench/fleet_scale --smoke --determinism-out ci-artifacts
   for j in 4 8; do
-    cmp "ci-artifacts/fleet-report-jobs1.json" \
-        "ci-artifacts/fleet-report-jobs$j.json"
+    same_bytes fcperf "ci-artifacts/fleet-report-jobs1.json" \
+                      "ci-artifacts/fleet-report-jobs$j.json"
     ./build/tools/fctrace diff "ci-artifacts/fleet-trace-jobs1.fcfl" \
                                "ci-artifacts/fleet-trace-jobs$j.fcfl"
   done
@@ -182,8 +194,8 @@ fleet_scale_smoke() {
   # not depend on worker interleaving.
   ./build/bench/fleet_http --smoke --determinism-out ci-artifacts
   for j in 4 8; do
-    cmp "ci-artifacts/io-report-jobs1.json" \
-        "ci-artifacts/io-report-jobs$j.json"
+    same_bytes fcperf "ci-artifacts/io-report-jobs1.json" \
+                      "ci-artifacts/io-report-jobs$j.json"
     ./build/tools/fctrace diff "ci-artifacts/io-trace-jobs1.fcfl" \
                                "ci-artifacts/io-trace-jobs$j.fcfl"
   done
@@ -201,7 +213,7 @@ trace_determinism() {
     --chrome ci-artifacts/trace-a.json \
     --metrics ci-artifacts/metrics-a.json
   ./build/tools/fctrace record -o ci-artifacts/trace-b.fctrace
-  cmp ci-artifacts/trace-a.fctrace ci-artifacts/trace-b.fctrace
+  same_bytes fctrace ci-artifacts/trace-a.fctrace ci-artifacts/trace-b.fctrace
   echo "trace-determinism: cross-process streams byte-identical"
   # In-process variant (also part of the tier-1 ctest suite).
   ctest --test-dir build --output-on-failure -R '^trace_determinism$'

@@ -9,6 +9,12 @@
 //       rule must exist in BOTH documents — a vanished or newly-appeared
 //       gated metric is itself a regression (silently dropping a gate is
 //       how perf rot ships).
+//   fcperf diff <a.json> <b.json>
+//       Flatten both documents and print the first dotted path (in path
+//       order) whose value differs, with both values, and how many paths
+//       differ. Numbers compare by their literal text, so it explains a
+//       failed byte-exact `cmp` of two reports. Exit 0 when every value
+//       matches, 1 when one differs.
 //   fcperf selftest
 //       In-process contract test: a doctored "current" document with an
 //       injected regression must trip the gate, and the clean document must
@@ -53,12 +59,17 @@ namespace {
 struct Leaf {
   enum Kind { kNumber, kString, kBool, kNull } kind = kNull;
   double num = 0.0;
-  std::string str;  // kString text / kBool "true"/"false" / kNull "null"
+  // kString text / kNumber literal text / kBool "true"/"false" / kNull "null"
+  std::string str;
 
   bool operator==(const Leaf& other) const {
     if (kind != other.kind) return false;
     if (kind == kNumber) return num == other.num;
     return str == other.str;
+  }
+  /// The value as it reads in JSON (strings quoted, numbers verbatim).
+  std::string literal() const {
+    return kind == kString ? "\"" + str + "\"" : str;
   }
   std::string render() const {
     if (kind != kNumber) return str;
@@ -158,6 +169,7 @@ class Parser {
     Leaf leaf;
     leaf.kind = Leaf::kNumber;
     leaf.num = value;
+    leaf.str.assign(start, static_cast<std::size_t>(end - start));
     emit(path, leaf);
     return true;
   }
@@ -340,6 +352,26 @@ const char* op_name(Rule::Op op) {
   return "?";
 }
 
+/// Visit the union of both documents' paths in map order (deterministic
+/// output) with each side's leaf, nullptr where a side lacks the path.
+template <typename Fn>
+void for_each_path(const FlatDoc& a, const FlatDoc& b, Fn&& fn) {
+  auto ai = a.begin();
+  auto bi = b.begin();
+  while (ai != a.end() || bi != b.end()) {
+    if (bi == b.end() || (ai != a.end() && ai->first < bi->first)) {
+      fn(ai->first, &ai->second, nullptr);
+      ++ai;
+    } else if (ai == a.end() || bi->first < ai->first) {
+      fn(bi->first, nullptr, &bi->second);
+      ++bi;
+    } else {
+      fn(ai->first, &ai->second, &bi->second);
+      ++ai, ++bi;
+    }
+  }
+}
+
 /// Core gate: every union path matched by a non-ignore rule is checked.
 CheckStats check_docs(const FlatDoc& baseline, const FlatDoc& current,
                       const std::vector<Rule>& rules, const char* label,
@@ -362,57 +394,37 @@ CheckStats check_docs(const FlatDoc& baseline, const FlatDoc& current,
                 fail ? ": " : "", fail ? verdict : "");
   };
 
-  // Union of paths, in map order (deterministic output).
-  auto bi = baseline.begin();
-  auto ci = current.begin();
-  while (bi != baseline.end() || ci != current.end()) {
-    const std::string* path;
-    const Leaf* base = nullptr;
-    const Leaf* cur = nullptr;
-    if (ci == current.end() ||
-        (bi != baseline.end() && bi->first < ci->first)) {
-      path = &bi->first;
-      base = &bi->second;
-      ++bi;
-    } else if (bi == baseline.end() || ci->first < bi->first) {
-      path = &ci->first;
-      cur = &ci->second;
-      ++ci;
-    } else {
-      path = &bi->first;
-      base = &bi->second;
-      cur = &ci->second;
-      ++bi, ++ci;
-    }
-    const Rule* rule = match_rule(rules, *path);
+  for_each_path(baseline, current, [&](const std::string& path,
+                                       const Leaf* base, const Leaf* cur) {
+    const Rule* rule = match_rule(rules, path);
     if (rule == nullptr) {
       ++stats.unmatched;
-      continue;
+      return;
     }
     if (rule->op == Rule::kIgnore) {
       ++stats.ignored;
-      continue;
+      return;
     }
     ++stats.checked;
     if (base == nullptr) {
-      report(*path, *rule, "gated metric absent from baseline",
+      report(path, *rule, "gated metric absent from baseline",
              "cur=" + cur->render());
-      continue;
+      return;
     }
     if (cur == nullptr) {
-      report(*path, *rule, "gated metric vanished from current run",
+      report(path, *rule, "gated metric vanished from current run",
              "base=" + base->render());
-      continue;
+      return;
     }
     std::string detail = "base=" + base->render() + " cur=" + cur->render();
     if (base->kind != cur->kind) {
-      report(*path, *rule, "type changed", detail);
-      continue;
+      report(path, *rule, "type changed", detail);
+      return;
     }
     if (base->kind != Leaf::kNumber) {
       // Non-numeric leaves only support (and always get) exact equality.
-      report(*path, *rule, *base == *cur ? "ok" : "value changed", detail);
-      continue;
+      report(path, *rule, *base == *cur ? "ok" : "value changed", detail);
+      return;
     }
     double b = base->num, c = cur->num;
     bool ok = false;
@@ -425,8 +437,8 @@ CheckStats check_docs(const FlatDoc& baseline, const FlatDoc& current,
       case Rule::kMax: ok = c <= b * (1.0 + rule->tol); break;
       case Rule::kIgnore: break;  // unreachable
     }
-    report(*path, *rule, ok ? "ok" : "regression", detail);
-  }
+    report(path, *rule, ok ? "ok" : "regression", detail);
+  });
   return stats;
 }
 
@@ -440,22 +452,22 @@ std::string read_file_or_die(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Read and flatten one JSON file; a syntax error is reported on stderr.
+bool load_doc(const std::string& path, FlatDoc* out) {
+  std::string error;
+  if (flatten_json(read_file_or_die(path), out, &error)) return true;
+  std::fprintf(stderr, "fcperf: %s: %s\n", path.c_str(), error.c_str());
+  return false;
+}
+
 int cmd_check(const std::string& baseline_path,
               const std::string& current_path, const std::string& rules_path,
               const std::string& label, bool verbose) {
   std::string error;
   FlatDoc baseline, current;
   std::vector<Rule> rules;
-  if (!flatten_json(read_file_or_die(baseline_path), &baseline, &error)) {
-    std::fprintf(stderr, "fcperf: %s: %s\n", baseline_path.c_str(),
-                 error.c_str());
+  if (!load_doc(baseline_path, &baseline) || !load_doc(current_path, &current))
     return 2;
-  }
-  if (!flatten_json(read_file_or_die(current_path), &current, &error)) {
-    std::fprintf(stderr, "fcperf: %s: %s\n", current_path.c_str(),
-                 error.c_str());
-    return 2;
-  }
   if (!parse_rules(read_file_or_die(rules_path), &rules, &error)) {
     std::fprintf(stderr, "fcperf: %s: %s\n", rules_path.c_str(),
                  error.c_str());
@@ -467,6 +479,47 @@ int cmd_check(const std::string& baseline_path,
       "%s: %zu checked, %zu failed (%zu ignored, %zu unmatched paths)\n",
       name, stats.checked, stats.failed, stats.ignored, stats.unmatched);
   return stats.failed == 0 ? 0 : 1;
+}
+
+// ---------------------------------------------------------------- diff ----
+
+struct Difference {
+  std::size_t differing = 0;  // paths whose value differs or is one-sided
+  std::size_t paths = 0;      // union of both documents' paths
+  std::string path;           // the first differing path
+  std::string a, b;           // its values as JSON literals, or "<absent>"
+};
+
+/// Value-level comparison of two flattened documents. Numbers compare by
+/// literal text, not as doubles: 64-bit digests do not survive a double.
+Difference diff_docs(const FlatDoc& a, const FlatDoc& b) {
+  Difference d;
+  for_each_path(a, b, [&](const std::string& path, const Leaf* la,
+                          const Leaf* lb) {
+    ++d.paths;
+    if (la != nullptr && lb != nullptr && la->kind == lb->kind &&
+        la->str == lb->str)
+      return;
+    if (d.differing++ != 0) return;
+    d.path = path;
+    d.a = la != nullptr ? la->literal() : "<absent>";
+    d.b = lb != nullptr ? lb->literal() : "<absent>";
+  });
+  return d;
+}
+
+int cmd_diff(const std::string& path_a, const std::string& path_b) {
+  FlatDoc a, b;
+  if (!load_doc(path_a, &a) || !load_doc(path_b, &b)) return 2;
+  Difference d = diff_docs(a, b);
+  if (d.differing == 0) {
+    std::printf("no value differs (%zu paths)\n", d.paths);
+    return 0;
+  }
+  std::printf("first difference at %s:\n  a: %s\n  b: %s\n", d.path.c_str(),
+              d.a.c_str(), d.b.c_str());
+  std::printf("%zu of %zu paths differ\n", d.differing, d.paths);
+  return 1;
 }
 
 // ------------------------------------------------------------- selftest ----
@@ -554,6 +607,23 @@ int cmd_selftest() {
       " {\"name\": \"b\", \"rate\": 200.0}]}",
       "renamed subtest trips the exact name gate", 1);
 
+  // `diff` names the first differing path and both values, telling apart
+  // 64-bit integers a double would conflate; identical documents match.
+  FlatDoc left, right;
+  expect(flatten_json("{\"vms\": [{\"digest\": 9007199254740993,"
+                      " \"app\": \"gzip\"}], \"total\": 5}",
+                      &left, &error) &&
+             flatten_json("{\"vms\": [{\"digest\": 9007199254740992,"
+                          " \"app\": \"gzip\"}], \"total\": 5}",
+                          &right, &error),
+         "diff inputs parse");
+  Difference d = diff_docs(left, right);
+  expect(d.differing == 1 && d.paths == 3 && d.path == "vms[0].digest" &&
+             d.a == "9007199254740993" && d.b == "9007199254740992",
+         "diff names the first differing path and both values");
+  expect(diff_docs(left, left).differing == 0,
+         "diff of identical documents finds nothing");
+
   if (failures == 0) std::printf("OK: perf gate selftest\n");
   return failures == 0 ? 0 : 1;
 }
@@ -564,6 +634,7 @@ int cmd_selftest() {
       "usage: fcperf <command> [args]\n"
       "  check <baseline.json> <current.json> --rules <rules> "
       "[--name label] [--verbose]\n"
+      "  diff <a.json> <b.json>\n"
       "  selftest\n");
   std::exit(2);
 }
@@ -574,6 +645,10 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   std::string cmd = argv[1];
   if (cmd == "selftest") return cmd_selftest();
+  if (cmd == "diff") {
+    if (argc != 4) usage();
+    return cmd_diff(argv[2], argv[3]);
+  }
   if (cmd != "check") usage();
 
   std::vector<std::string> positional;
