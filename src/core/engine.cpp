@@ -509,6 +509,13 @@ std::string FaceChangeEngine::render_run_report() const {
       << " guest write, " << cache.inval_code_load << " code load, "
       << cache.inval_recycle << " page recycle, " << cache.inval_view_switch
       << " view switch, " << cache.inval_capacity << " capacity\n";
+  // Host-side only (it depends on what else decoded through the memo), so
+  // it stays out of metrics_json and the timeline.
+  const cpu::DecodeMemo::Stats memo = bc.memo().stats();
+  out << "decode memo: " << memo.lookups << " lookups, " << memo.hits
+      << " hits, " << memo.resident_runs << " runs / "
+      << memo.resident_insns << " insns resident, " << memo.copied_bytes
+      << " bytes copied\n";
   const cpu::TraceCache& tc = hv_->vcpu().trace_cache();
   const cpu::TraceCache::Stats& ts = tc.stats();
   out << "trace tier: "

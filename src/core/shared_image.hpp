@@ -15,9 +15,11 @@
 // records the frame/table counts at each stage and the clone validates them,
 // so a divergence is a hard FC_CHECK, not silent corruption.
 //
-// A SharedImage is immutable after capture and must outlive every VM
-// constructed from it; concurrent readers need no locks (the only mutable
-// state, the store's refcounts, is atomic).
+// A SharedImage is immutable after capture, apart from its decode memo, and
+// must outlive every VM constructed from it. Concurrent readers need no
+// locks: the store's refcounts are atomic, and the decode memo — the basic
+// blocks any VM of this image has decoded, keyed and verified by content —
+// is internally synchronized and never changes what a VM executes.
 #pragma once
 
 #include <vector>
@@ -27,6 +29,7 @@
 #include "core/view.hpp"
 #include "mem/shared_frames.hpp"
 #include "os/os_runtime.hpp"
+#include "vcpu/decode_memo.hpp"
 
 namespace fc::core {
 
@@ -60,6 +63,11 @@ struct SharedImage {
   /// Allocation-order invariants a clone validates while rehydrating.
   u32 frames_after_boot = 0;
   u32 frames_after_views = 0;
+
+  /// Shared by every VM booted from this image (GuestSystem passes it to
+  /// the vCPU's block cache). Runs decoded from store-backed frames point
+  /// into `store` instead of copying their bytes.
+  mutable cpu::DecodeMemo decode_memo{&store};
 
   SharedImage() = default;
   SharedImage(const SharedImage&) = delete;

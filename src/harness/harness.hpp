@@ -41,10 +41,10 @@ class GuestSystem {
       : GuestSystem(config, boot_image_for(config)) {}
 
   /// Boot copy-on-write from a shared image (fleet VMs; the default ctor
-  /// routes here via the memoized boot image). `image` must outlive this
-  /// system.
+  /// routes here via the memoized boot image), decoding through the image's
+  /// decode memo. `image` must outlive this system.
   GuestSystem(os::OsConfig config, const core::SharedImage& image)
-      : hv_(image.guest_phys_mib, &image.machine),
+      : hv_(image.guest_phys_mib, &image.machine, &image.decode_memo),
         os_(hv_, config, &image.boot) {
     os_.boot();
     // Boot replay transiently diverges a handful of frames (table pages are
@@ -53,6 +53,7 @@ class GuestSystem {
     hv_.machine().host().reshare_identical();
   }
 
+  /// A FreshBoot system decodes through a private memo.
   GuestSystem(os::OsConfig config, FreshBoot) : os_(hv_, config) {
     os_.boot();
   }

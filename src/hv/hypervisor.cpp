@@ -5,8 +5,9 @@
 
 namespace fc::hv {
 
-Hypervisor::Hypervisor(u32 guest_phys_mib, const mem::MachineImage* image)
-    : machine_(guest_phys_mib, image), vcpu_(machine_), vmi_(machine_) {
+Hypervisor::Hypervisor(u32 guest_phys_mib, const mem::MachineImage* image,
+                       cpu::DecodeMemo* memo)
+    : machine_(guest_phys_mib, image), vcpu_(machine_, memo), vmi_(machine_) {
   // The flight recorder stamps events with simulated time. There is one
   // recorder per thread; the most recently constructed hypervisor's vCPU
   // on this thread supplies the clock (lockstep harnesses construct pairs

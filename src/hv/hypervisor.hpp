@@ -38,8 +38,11 @@ enum class RunOutcome {
 
 class Hypervisor {
  public:
+  /// `memo`: the decode memo shared with other VMs of the same image (not
+  /// owned); nullptr gives this VM a private one.
   explicit Hypervisor(u32 guest_phys_mib = 64,
-                      const mem::MachineImage* image = nullptr);
+                      const mem::MachineImage* image = nullptr,
+                      cpu::DecodeMemo* memo = nullptr);
   ~Hypervisor();
   Hypervisor(const Hypervisor&) = delete;
   Hypervisor& operator=(const Hypervisor&) = delete;

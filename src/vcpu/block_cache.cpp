@@ -1,6 +1,7 @@
 #include "vcpu/block_cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -63,29 +64,17 @@ const DecodedBlock* BlockCache::build(mem::HostMemory& host,
     ++stats_.inval_capacity;
   }
 
-  const std::span<const u8> bytes =
-      static_cast<const mem::HostMemory&>(host).frame(frame);
+  std::shared_ptr<const DecodeRun> run = memo_->decode(host, frame, offset);
+  if (run->insns.empty()) return nullptr;
+  stats_.insns_decoded += run->insns.size();
+
   DecodedBlock block;
   block.frame = frame;
   block.offset = static_cast<u16>(offset);
   block.frame_gen = gen(frame);
   block.heat = 1;
-  u32 at = offset;
-  while (at < kPageSize && block.insns.size() < kMaxBlockInsns) {
-    // Decode strictly from in-page bytes: an instruction straddling the page
-    // boundary is left to the slow path, which alone can fetch across the
-    // (possibly differently-mapped) next page.
-    isa::DecodeResult dec = isa::decode(bytes.subspan(at, kPageSize - at));
-    if (!dec.ok()) break;
-    ++stats_.insns_decoded;
-    block.insns.push_back(dec.insn);
-    at += dec.insn.length;
-    // UD2 ends a block like control flow does: it always traps, and under
-    // FACE-CHANGE the bytes after it are usually more filler.
-    if (isa::is_control_flow(dec.insn.op) || dec.insn.op == isa::Op::kUd2)
-      break;
-  }
-  if (block.insns.empty()) return nullptr;
+  block.insns = run->insns;
+  block.run = std::move(run);
 
   ++stats_.blocks_built;
   if (frame >= frame_gens_.size()) {

@@ -1,6 +1,6 @@
 // Decoded basic-block cache (the interpreter's answer to QEMU's translation
 // blocks): Vcpu::step normally pays an Mmu::fetch plus a fresh isa::decode
-// for every instruction; this cache decodes each basic block once and replays
+// for every instruction; this cache builds each basic block once and replays
 // the pre-decoded instructions until the underlying code bytes change.
 //
 // Keying and invalidation are what make this safe under FACE-CHANGE:
@@ -20,24 +20,36 @@
 //     single compare on every use — correctness never depends on scanning
 //     the cache.
 //
+// Building a block asks a DecodeMemo (vcpu/decode_memo.hpp) for the decode:
+// a content-keyed, byte-verified memo that hands every block cache meeting
+// the same bytes — another view's shadow copy, a recovered function, another
+// VM of the same SharedImage — one shared, immutable instruction run. The
+// memo is host-side only: a build counts as a build (stats, decode-cycle
+// charge) whether or not the memo had the run, and heat, generations, the
+// cursor and peek() stay per cache.
+//
 // Storage is an open-addressing hash table (flat key/slot arrays, linear
 // probing, no deletion except full clears) over an arena of blocks: branch
 // targets — the hot lookup, once per taken branch — cost one hash probe
 // instead of an unordered_map find. The straight-line cursor keeps copies
 // (instruction pointer, frame, generation) rather than a block pointer, so
-// arena growth never invalidates it; a block's `insns` heap buffer outlives
-// any in-place rebuild of its table slot until the next full clear, and the
-// generation compare retires stale cursors before they can be served.
+// arena growth never invalidates it; each arena entry co-owns its run, so
+// the instructions outlive any in-place rebuild of its table slot (and any
+// memo eviction) until the next full clear, and the generation compare
+// retires stale cursors before they can be served.
 //
 // Blocks end at control flow, at the page boundary, at an undecodable byte
-// sequence, or at a fixed instruction cap.
+// sequence, or at a fixed instruction cap (DecodeMemo::kMaxBlockInsns).
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "isa/isa.hpp"
 #include "mem/host_memory.hpp"
 #include "support/types.hpp"
+#include "vcpu/decode_memo.hpp"
 
 namespace fc::cpu {
 
@@ -53,14 +65,12 @@ struct DecodedBlock {
   u16 offset = 0;     // first instruction's offset within the frame
   u32 frame_gen = 0;  // frame write-generation the decode is valid for
   u32 heat = 0;       // table-probe hit count; the trace tier's promotion key
-  std::vector<isa::Instruction> insns;
+  std::shared_ptr<const DecodeRun> run;     // owns what `insns` views
+  std::span<const isa::Instruction> insns;  // the run's instructions
 };
 
 class BlockCache final : public mem::CodeWriteSink {
  public:
-  /// Longest block in instructions (a page of 1-byte instructions would
-  /// otherwise decode 4096 entries nobody ever reaches past a trap).
-  static constexpr u32 kMaxBlockInsns = 128;
   /// Arena entries before a full clear (generations make the clear safe at
   /// any time; the cap only bounds memory). Must stay below half the table
   /// size so linear probing never degenerates.
@@ -71,7 +81,10 @@ class BlockCache final : public mem::CodeWriteSink {
     u64 insn_hits = 0;      // instructions served from a decoded block
     u64 block_misses = 0;   // lookups that had to (re)build
     u64 blocks_built = 0;
-    u64 insns_decoded = 0;  // decode work actually performed
+    // Instructions in the blocks built: the simulated decode-cost basis
+    // (Fetched::insns_decoded), counted whether or not the memo already
+    // held the run — not the host's decode work.
+    u64 insns_decoded = 0;
     u64 uncacheable = 0;    // misses where not even one insn decoded
     // Invalidations by cause. Each counts *frames* whose cached decodes
     // became stale, not individual writes (a frame's generation bumps once
@@ -85,8 +98,14 @@ class BlockCache final : public mem::CodeWriteSink {
 
   struct Fetched {
     const isa::Instruction* insn = nullptr;  // nullptr → take the slow path
-    u32 insns_decoded = 0;  // decode work done by this call (block build)
+    u32 insns_decoded = 0;  // instructions in the block this call built
   };
+
+  /// Build through `memo` (not owned; must outlive the cache), or through a
+  /// private memo when none is given.
+  explicit BlockCache(DecodeMemo* memo = nullptr)
+      : own_memo_(memo == nullptr ? std::make_unique<DecodeMemo>() : nullptr),
+        memo_(memo == nullptr ? own_memo_.get() : memo) {}
 
   /// Return the decoded instruction at (frame, offset) — which the caller
   /// has already resolved via the MMU for `va` — building a block if needed.
@@ -138,12 +157,17 @@ class BlockCache final : public mem::CodeWriteSink {
                            mem::FrameWriteCause cause) override;
 
   /// Drop every cached block (used when the cache is disabled mid-run and
-  /// on capacity overflow). Generations survive, so re-enabling is safe.
+  /// on capacity overflow) and with it this cache's references to their
+  /// runs; the memo keeps its own. Generations survive, so re-enabling is
+  /// safe.
   void clear();
 
   const Stats& stats() const { return stats_; }
   void reset_stats() { stats_ = Stats{}; }
   std::size_t size() const { return resident_; }
+
+  /// The memo this cache builds through (shared or private).
+  const DecodeMemo& memo() const { return *memo_; }
 
   /// Test hook: the current write generation of a frame.
   u32 frame_generation(HostFrame frame) const { return gen(frame); }
@@ -176,10 +200,13 @@ class BlockCache final : public mem::CodeWriteSink {
     cur_gen_ = block.frame_gen;
   }
 
+  std::unique_ptr<DecodeMemo> own_memo_;  // set when no memo was supplied
+  DecodeMemo* memo_;
+
   // Open-addressing table: slots_[i] indexes arena_, keys_[i] is the block
   // key. In-place rebuilds repoint the slot at a fresh arena entry; the old
-  // entry (and its insns buffer) stays alive until the next clear, which is
-  // what makes cursor copies safe without reference counting.
+  // entry (and its run) stays alive until the next clear, which is what
+  // makes cursor copies safe.
   std::vector<u32> slots_ = std::vector<u32>(kTableSize, kEmptySlot);
   std::vector<u64> keys_ = std::vector<u64>(kTableSize, 0);
   std::vector<DecodedBlock> arena_;

@@ -114,7 +114,10 @@ class SampleSink {
 
 class Vcpu {
  public:
-  explicit Vcpu(mem::Machine& machine) : machine_(&machine) {
+  /// `memo`: the decode memo the block cache builds through (not owned;
+  /// nullptr gives the vCPU a private one).
+  explicit Vcpu(mem::Machine& machine, DecodeMemo* memo = nullptr)
+      : machine_(&machine), block_cache_(memo) {
     // Register both execution caches on the code write barrier so any byte
     // change in a frame they cached decodes/traces from invalidates them.
     machine_->host().add_code_write_sink(&block_cache_);

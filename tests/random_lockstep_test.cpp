@@ -16,6 +16,14 @@
 // second virtual address and, once the first mapping's traces are hot, runs
 // the program again through the second mapping: traces are keyed by (frame,
 // offset) but their micro-ops carry the first mapping's absolute addresses.
+//
+// The hazard variant adds FACE-CHANGE's two code shapes: functions loaded as
+// UD2 fill that trap on first call and are "recovered" (pristine bytes
+// copied back through the code-load write barrier, in every guest at the
+// same step), and calls whose return lands at an odd offset inside UD2 fill,
+// where 0B 0F decodes as a valid `or ecx, [edi]`. Those programs run twice
+// through one DecodeMemo: on the rerun every block build is a memo hit, and
+// the per-step comparison must still hold.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -27,6 +35,7 @@
 #include "isa/assembler.hpp"
 #include "mem/machine.hpp"
 #include "support/rng.hpp"
+#include "vcpu/decode_memo.hpp"
 #include "vcpu/vcpu.hpp"
 
 namespace fc::cpu {
@@ -73,6 +82,8 @@ struct Program {
   std::map<GVirt, u8> fault_pcs;  // pc -> length of a load/store that faults
   std::vector<GVirt> breakpoints;
   std::vector<std::pair<GVirt, u32>> data_init;  // words written at setup
+  // Hazard variant: start of each UD2-filled function -> its pristine bytes.
+  std::map<GVirt, std::vector<u8>> recover;
 };
 
 /// Emits one program. Register discipline keeps every generated program
@@ -81,7 +92,9 @@ struct Program {
 /// stack constructs.
 class Generator {
  public:
-  explicit Generator(u64 seed) : rng_(seed) {}
+  /// `hazards` adds the UD2-recovery and odd-return constructs; without it
+  /// the generator's output (and random stream) is unchanged.
+  Generator(u64 seed, bool hazards) : rng_(seed), hazards_(hazards) {}
 
   Program generate() {
     Program p;
@@ -92,6 +105,11 @@ class Generator {
     a_.mov_imm(Reg::DI, kDataVa);
     const u32 n_funcs = rng_.between(1, 3);
     for (u32 i = 0; i < n_funcs; ++i) funcs_.push_back(a_.make_label());
+    if (hazards_) {
+      const u32 n_filled = rng_.between(1, 2);
+      for (u32 i = 0; i < n_filled; ++i)
+        filled_funcs_.push_back(a_.make_label());
+    }
     handler_ = a_.make_label();
 
     // The mandatory coverage loop: every op this test exists to reach, in a
@@ -123,6 +141,17 @@ class Generator {
       emit_chunk(rng_.between(2, 8), Ctx::kFunc);
       a_.epilogue();
     }
+    // Loaded as UD2 fill right behind the last function's RET, so that
+    // block is followed by different bytes before and after recovery.
+    std::vector<std::pair<u32, u32>> filled;
+    for (Label f : filled_funcs_) {
+      a_.bind(f);
+      const u32 start = a_.size();
+      a_.prologue();
+      emit_chunk(rng_.between(1, 6), Ctx::kFunc);
+      a_.epilogue();
+      filled.emplace_back(start, a_.size());
+    }
     a_.bind(handler_);
     const u32 handler_off = a_.size();
     a_.pusha();
@@ -133,6 +162,16 @@ class Generator {
     p.bytes = a_.finish(p.base);
     for (u32 at : or_mem_at_)
       p.bytes[at + 1] = static_cast<u8>(p.bytes[at + 1] & 0x3F);  // mod = 0
+    for (u32 at : odd_fill_at_) {
+      p.bytes[at] = 0x0B;  // UD2 fill (0F 0B ...) entered one byte in
+      p.bytes[at + 1] = 0x0F;
+    }
+    for (const auto& [start, end] : filled) {
+      p.recover[p.base + start].assign(p.bytes.begin() + start,
+                                       p.bytes.begin() + end);
+      for (u32 at = start; at < end; ++at)
+        p.bytes[at] = (at - start) % 2 == 0 ? 0x0F : 0x0B;
+    }
     p.irq_handler = p.base + handler_off;
     for (u32 off : func_offsets) p.functions.push_back(p.base + off);
     for (u32 off : bp_candidates_)
@@ -240,7 +279,7 @@ class Generator {
   /// nest nothing, which bounds the bytes a short forward Jcc skips.
   void emit_simple(Ctx ctx, bool leaf = false) {
     if (rng_.chance(0.1)) bp_candidates_.push_back(a_.size());
-    u32 pick = rng_.below(ctx == Ctx::kHandler ? 17 : 22);
+    u32 pick = rng_.below(ctx == Ctx::kHandler ? 17 : hazards_ ? 24 : 22);
     if (leaf && (pick == 12 || pick == 13 || pick == 14)) pick = 3;
     switch (pick) {
       case 0: a_.nop(); break;
@@ -289,6 +328,29 @@ class Generator {
           a_.calltab(kCallTable);
         } else {
           a_.rdtsc();
+        }
+        break;
+      // Hazard variant only, and only from the main body.
+      case 22:
+        if (ctx == Ctx::kMain) {
+          // The return address lands at an odd offset inside UD2 fill: the
+          // pairs decode (and run) as `or ecx, [edi]` instead of trapping.
+          a_.call(funcs_[rng_.below(static_cast<u32>(funcs_.size()))]);
+          const u32 pairs = rng_.between(1, 3);
+          for (u32 i = 0; i < pairs; ++i) {
+            odd_fill_at_.push_back(a_.size());
+            a_.or_(Reg::C, Reg::C);  // placeholder, patched to 0B 0F
+          }
+        } else {
+          a_.nop();
+        }
+        break;
+      case 23:
+        if (ctx == Ctx::kMain) {
+          a_.call(filled_funcs_[rng_.below(
+              static_cast<u32>(filled_funcs_.size()))]);
+        } else {
+          a_.nop();
         }
         break;
       default: a_.sti(); break;
@@ -414,12 +476,15 @@ class Generator {
   }
 
   Rng rng_;
+  bool hazards_;
   Assembler a_;
   GVirt base_ = 0;
   Program* prog_ = nullptr;
   std::vector<Label> funcs_;
+  std::vector<Label> filled_funcs_;  // loaded as UD2 fill (hazards only)
   Label handler_{};
   std::vector<u32> or_mem_at_;
+  std::vector<u32> odd_fill_at_;
   std::vector<u32> bp_candidates_;
   u32 smc_sites_ = 0;
 };
@@ -428,8 +493,8 @@ enum class Tier { kUncached, kBlockOnly, kTrace };
 constexpr const char* kTierName[] = {"uncached", "block-only", "trace"};
 
 struct Guest {
-  Guest(Tier tier, const Program& p, bool alias_code)
-      : machine(kMachineMib), vcpu(machine) {
+  Guest(Tier tier, const Program& p, bool alias_code, DecodeMemo* memo)
+      : machine(kMachineMib), vcpu(machine, memo) {
     mem::GuestPageTableBuilder builder(machine, 0x1000, 0x100000);
     dir = builder.create_directory();
     builder.map(dir, kKernelBase, 0, machine.guest_phys_pages());
@@ -517,19 +582,23 @@ struct Coverage {
   u64 trace_code_writes = 0;
   u64 faults = 0;
   u64 breakpoints = 0;
+  u64 recoveries = 0;
 };
 
 /// Run one program on all three tiers, in chunks of `max_chunk` (1 = per
 /// instruction) with seeded random chunk sizes above that, comparing the
 /// full state after every chunk. With `alias_code`, the program runs to its
-/// halt a second time, entered through the code's second mapping. Returns
-/// false on divergence.
+/// halt a second time, entered through the code's second mapping. With
+/// `hazards` the program has the UD2-recovery and odd-return constructs.
+/// Every guest decodes through `memo` when one is given. Returns false on
+/// divergence.
 bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov,
-                  bool alias_code = false) {
-  const Program p = Generator(seed).generate();
-  Guest g[3] = {Guest(Tier::kUncached, p, alias_code),
-                Guest(Tier::kBlockOnly, p, alias_code),
-                Guest(Tier::kTrace, p, alias_code)};
+                  bool alias_code = false, bool hazards = false,
+                  DecodeMemo* memo = nullptr) {
+  const Program p = Generator(seed, hazards).generate();
+  Guest g[3] = {Guest(Tier::kUncached, p, alias_code, memo),
+                Guest(Tier::kBlockOnly, p, alias_code, memo),
+                Guest(Tier::kTrace, p, alias_code, memo)};
   Rng events(seed * 0x9E3779B97F4A7C15ull + max_chunk);
   constexpr u64 kMaxSteps = 400'000;
   u32 passes = alias_code ? 2 : 1;
@@ -578,6 +647,17 @@ bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov,
       }
       ++cov->faults;
       for (Guest& x : g) x.vcpu.regs().pc = exit.pc + it->second;
+    } else if (exit.reason == ExitReason::kInvalidOpcode &&
+               p.recover.contains(exit.pc)) {
+      // Recovery: copy the function's pristine bytes over its UD2 fill, as
+      // RecoveryEngine does, and resume at the trapping pc.
+      ++cov->recoveries;
+      for (Guest& x : g) {
+        mem::HostMemory::WriteCauseScope cause(
+            x.machine.host(), mem::FrameWriteCause::kCodeLoad);
+        x.machine.pwrite_bytes(mem::GuestLayout::kernel_pa(exit.pc),
+                               p.recover.at(exit.pc));
+      }
     } else if (exit.reason != ExitReason::kNone &&
                exit.reason != ExitReason::kInstructionLimit) {
       ADD_FAILURE() << "seed " << seed << ": unexpected exit "
@@ -629,6 +709,29 @@ TEST(RandomLockstep, AliasedCodeMapping) {
   }
   EXPECT_GT(cov.dispatched, 0u);
   EXPECT_GT(cov.trace_insns, 1000u);
+}
+
+TEST(RandomLockstep, HazardsRerunThroughASharedDecodeMemo) {
+  Coverage cov;
+  u64 rerun_builds = 0;
+  for (u64 seed = 1; seed <= 24; ++seed) {
+    for (u32 max_chunk : {1u, 97u}) {
+      DecodeMemo memo;
+      if (!run_lockstep(seed, max_chunk, &cov, false, true, &memo)) return;
+      const DecodeMemo::Stats first = memo.stats();
+      // Same program, fresh guests, same memo: every block build is a hit.
+      if (!run_lockstep(seed, max_chunk, &cov, false, true, &memo)) return;
+      const DecodeMemo::Stats second = memo.stats();
+      EXPECT_EQ(second.hits - first.hits, second.lookups - first.lookups)
+          << "seed " << seed << " chunk<=" << max_chunk;
+      EXPECT_EQ(second.resident_runs, first.resident_runs);
+      rerun_builds += second.lookups - first.lookups;
+    }
+  }
+  EXPECT_GT(rerun_builds, 0u);
+  EXPECT_GT(cov.recoveries, 0u);
+  EXPECT_GT(cov.trace_insns, 1000u);
+  EXPECT_GT(cov.trace_code_writes, 0u);
 }
 
 }  // namespace

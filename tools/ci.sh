@@ -5,7 +5,10 @@
 #   tools/ci.sh sanitize    sanitizer tier: same suite under ASan + UBSan
 #   tools/ci.sh tsan        ThreadSanitizer tier: the fleet determinism and
 #                           COW isolation tests under -fsanitize=thread
-#                           (workers share only refcounts + the result sink)
+#                           (workers share refcounts, the result sink and
+#                           the image's decode memo), plus the trace-cache
+#                           and block-cache suites (the latter with a
+#                           four-thread DecodeMemo case)
 #   tools/ci.sh bench-smoke interpreter-throughput + fleet-scaling smoke
 #                           runs under ASan (exercises the uncached, block
 #                           and trace tiers and the COW fleet end to end;
@@ -131,6 +134,11 @@ tsan() {
   # invalidation paths run here with the race detector watching.
   cmake --build build-tsan -j "$jobs" --target tracecache_test
   ./build-tsan/tests/tracecache_test
+  # Block-cache suite under TSan: fleet workers' block caches all build
+  # through their image's DecodeMemo, and the suite's concurrency case has
+  # four threads building identical and same-prefix blocks through one memo.
+  cmake --build build-tsan -j "$jobs" --target blockcache_test
+  ./build-tsan/tests/blockcache_test
 }
 
 bench_smoke() {
