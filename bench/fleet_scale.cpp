@@ -314,23 +314,31 @@ int main(int argc, char** argv) {
     curves.push_back(curve);
   }
 
-  // Uneven-workload sweep: 16 VMs whose first four run 8x the iterations of
-  // the rest. The heavy VMs all land in the leading contiguous chunks, so a
-  // static split leaves the other workers idle for most of the run — the
-  // shape work stealing exists for. Steals must actually happen once there
-  // are thieves (jobs >= 4); scheduling stays invisible in the report (the
-  // determinism gate below covers the same scheduler).
+  // Uneven-workload sweep: 16 VMs whose first four run kHeavy times the
+  // iterations of the rest. The heavy VMs all land in the leading
+  // contiguous chunks, so a static split leaves the other workers idle for
+  // most of the run — the shape work stealing exists for. Steals must
+  // actually happen once there are thieves (jobs >= 4); scheduling stays
+  // invisible in the report (the determinism gate below covers the same
+  // scheduler). At jobs 8 each heavy owner holds one stealable VM, only
+  // while its first heavy VM runs, so that run must outlast a thief's two
+  // light VMs, per-VM set-up included. Set-up does not scale with
+  // iterations, so at 8x, with guest execution fast, a thief often arrived
+  // after the owner had claimed it.
+  constexpr u32 kHeavy = 16;
   fleet::FleetOptions uneven;
   uneven.vms = 16;
   uneven.iteration_mix.assign(16, iterations);
-  for (u32 vm = 0; vm < 4; ++vm) uneven.iteration_mix[vm] = iterations * 8;
+  for (u32 vm = 0; vm < 4; ++vm)
+    uneven.iteration_mix[vm] = iterations * kHeavy;
   struct UnevenPoint {
     u32 jobs = 0;
     Sample sample;
   };
   std::vector<UnevenPoint> uneven_points;
   bool steals_ok = true;
-  std::printf("\nuneven workload (16 VMs, first 4 at 8x iterations)\n");
+  std::printf("\nuneven workload (16 VMs, first 4 at %ux iterations)\n",
+              kHeavy);
   std::printf("%6s %14s %10s %8s\n", "jobs", "insns/sec", "wall (s)",
               "steals");
   std::printf("%s\n", std::string(42, '-').c_str());
@@ -385,7 +393,7 @@ int main(int argc, char** argv) {
   json << "  \"deterministic_across_jobs\": "
        << (deterministic ? "true" : "false") << ",\n";
   json << "  \"uneven\": {\"vms\": 16, \"heavy_vms\": 4, "
-       << "\"heavy_iterations\": " << iterations * 8
+       << "\"heavy_iterations\": " << iterations * kHeavy
        << ", \"light_iterations\": " << iterations << ", \"points\": [";
   for (std::size_t p = 0; p < uneven_points.size(); ++p) {
     const UnevenPoint& point = uneven_points[p];

@@ -505,6 +505,13 @@ std::string FaceChangeEngine::render_run_report() const {
       << " block misses (" << cache.blocks_built << " built, "
       << cache.insns_decoded << " insns decoded, " << cache.uncacheable
       << " uncacheable), " << bc.size() << " blocks resident\n";
+  // Host dispatch shape: how the block tier retired its instructions, not
+  // what the guest did, so it stays out of metrics_json and the timeline.
+  const u64 mean_tenths =
+      cache.batches != 0 ? cache.batch_insns * 10 / cache.batches : 0;
+  out << "block batches: " << cache.batch_insns << " insns in "
+      << cache.batches << " batches (mean " << mean_tenths / 10 << "."
+      << mean_tenths % 10 << ")\n";
   out << "block cache invalidations: " << cache.inval_guest_write
       << " guest write, " << cache.inval_code_load << " code load, "
       << cache.inval_recycle << " page recycle, " << cache.inval_view_switch

@@ -94,6 +94,10 @@ class BlockCache final : public mem::CodeWriteSink {
     u64 inval_recycle = 0;      // freed page recycled with new contents
     u64 inval_view_switch = 0;  // engine EPT-switch notifications
     u64 inval_capacity = 0;     // full clears at kMaxBlocks
+    // Host dispatch shape, not simulated state: of insn_hits, those the
+    // vCPU retired in simple-op batches (advance_run), and the batches.
+    u64 batch_insns = 0;
+    u64 batches = 0;
   };
 
   struct Fetched {
@@ -130,15 +134,33 @@ class BlockCache final : public mem::CodeWriteSink {
 
   /// Straight-line fast path for the vCPU's block-tail loop: if the cursor
   /// sits exactly on `pc` and the frame's bytes are unchanged since the
-  /// decode, serve the instruction with no table lookup. The caller must
-  /// already have established that the code-page translation is unchanged
-  /// (Mmu::fill_version) — this never consults the MMU.
-  const isa::Instruction* cursor_insn(GVirt pc) {
+  /// decode, the block's instructions from the cursor to its end, with no
+  /// table lookup; otherwise an empty span. The caller must already have
+  /// established that the code-page translation is unchanged
+  /// (Mmu::fill_version) — this never consults the MMU. Counts nothing: the
+  /// caller reports what it serves with note_hit or advance_run.
+  std::span<const isa::Instruction> cursor_run(GVirt pc) const {
     if (cur_insns_ == nullptr || cur_va_ != pc ||
         cur_gen_ != gen(cur_frame_))
-      return nullptr;
-    ++stats_.insn_hits;
-    return &cur_insns_[cur_idx_];
+      return {};
+    return {cur_insns_ + cur_idx_, cur_count_ - cur_idx_};
+  }
+  /// The caller serves cursor_run's first instruction on its own (advance
+  /// follows its execution).
+  void note_hit() { ++stats_.insn_hits; }
+  /// The caller retired cursor_run's first `n` instructions as one batch
+  /// and fell through to `next_va`: the same hits and cursor move as `n`
+  /// note_hit/advance pairs.
+  void advance_run(u32 n, GVirt next_va) {
+    stats_.insn_hits += n;
+    stats_.batch_insns += n;
+    ++stats_.batches;
+    if (cur_idx_ + n < cur_count_) {
+      cur_idx_ += n;
+      cur_va_ = next_va;
+    } else {
+      cur_insns_ = nullptr;  // end of block
+    }
   }
 
   void drop_cursor() { cur_insns_ = nullptr; }

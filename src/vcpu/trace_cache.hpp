@@ -61,7 +61,8 @@ namespace fc::cpu {
 ///   simple (kNop..kCmpImm) — straight-line, register-only, retire one
 ///       instruction for cost_default and never read cycles, so a run of
 ///       them executes as one batch with every per-op check and all
-///       retirement accounting hoisted out (MicroOp::seg);
+///       retirement accounting hoisted out (MicroOp::seg here, the cursor's
+///       rest of the block in the block tier: Vcpu::run_simple_batch);
 ///   ALU (kAddRR..kCmpImm) — the simple kinds that set ZF; these fuse with
 ///       an adjacent Jcc;
 ///   pure (everything before kPush) — cannot fault, touch the MMU or the

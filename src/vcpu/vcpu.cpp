@@ -490,6 +490,59 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before) {
   return pending_exit;
 }
 
+template <class Exec>
+u64 Vcpu::run_simple_batch(u64 budget_end, u64& miss_base, Exec&& exec) {
+  // Every simple op retires for cost_default, so the op whose retirement
+  // reaches `until` is the ceil((until - cycles_) / cost_default)-th; an
+  // overdue `until` (a sample left pending by an interrupt delivery) stops
+  // after the first. A zero cost never reaches it: dividing by 1 instead
+  // only ends the batch early, and the next one carries on.
+  const Cycles until = batch_until();
+  const u32 cd = perf_.cost_default != 0 ? perf_.cost_default : 1;
+  u64 limit = budget_end - instructions_;
+  const u64 by_cycles = cycles_ < until ? (until - cycles_ - 1) / cd + 1 : 1;
+  if (by_cycles < limit) limit = by_cycles;
+  const u64 n = exec(limit);
+  miss_base = retire(perf_.cost_default, miss_base, n);
+  return n;
+}
+
+void Vcpu::run_block_batch(std::span<const isa::Instruction> run,
+                           u64 budget_end) {
+  const GVirt head = regs_.pc;
+  // The head passed the guard. Later ops stop short of the page-tail region
+  // (step() probes the next page there) and of any breakpoint or armed
+  // suppress-once. Ops ascend within the block, so one bound covers them
+  // all; a breakpoint between op starts only ends the batch early.
+  GVirt stop = page_base(head) + kPageSize - (isa::kMaxInstructionLength - 1);
+  for (const GVirt bp : breakpoints_)
+    if (bp > head && bp < stop) stop = bp;
+  if (suppress_bp_at_ > head && suppress_bp_at_ < stop) stop = suppress_bp_at_;
+  if (!in_block_) {
+    in_block_ = true;
+    block_start_ = head;
+  }
+  GVirt va = head;
+  GVirt last = head;
+  u64 misses = machine_->mmu().stats().tlb_misses;
+  const u64 n = run_simple_batch(budget_end, misses, [&](u64 limit) {
+    const std::size_t end =
+        static_cast<std::size_t>(std::min<u64>(limit, run.size()));
+    std::size_t k = 0;
+    do {
+      const MicroOp u = lower_insn(run[k].op, run[k], va);
+      if (!is_simple(u.kind)) break;
+      exec_simple(u.kind, u.r1, u.r2, u.imm);
+      last = va;
+      va += run[k].length;
+    } while (++k < end && va < stop);
+    return static_cast<u64>(k);
+  });
+  regs_.pc = va;
+  block_cache_.advance_run(static_cast<u32>(n), va);
+  if (cycles_ >= sample_at_) take_sample(last, kTierBlock);
+}
+
 Exit Vcpu::run_cached_tail(u64 budget_end) {
   mem::Mmu& mmu = machine_->mmu();
   exec_tier_ = kTierBlock;  // every instruction here comes from the cursor
@@ -506,9 +559,14 @@ Exit Vcpu::run_cached_tail(u64 budget_end) {
         guard(pc, {fetch_tlb_version_, fetch_ept_gen_,
                    trace_cache_.write_epoch()}) != 0)
       break;
-    const isa::Instruction* insn = block_cache_.cursor_insn(pc);
-    if (insn == nullptr) break;
-    Exit exit = exec_insn(*insn, mmu.stats().tlb_misses);
+    const std::span<const isa::Instruction> run = block_cache_.cursor_run(pc);
+    if (run.empty()) break;
+    if (is_simple(lower_insn(run[0].op, run[0], pc).kind)) {
+      run_block_batch(run, budget_end);
+      continue;
+    }
+    block_cache_.note_hit();
+    Exit exit = exec_insn(run[0], mmu.stats().tlb_misses);
     if (exit.reason != ExitReason::kNone) return exit;
   }
   return {ExitReason::kNone, regs_.pc};
@@ -617,8 +675,7 @@ std::optional<Exit> Vcpu::run_trace(const Trace& tr, u64 budget_end,
     // cycles_ after the take_sample above; ~0 when detached, a no-op).
     fast = breakpoints_.empty() && suppress_bp_at_ == 0xFFFFFFFFu &&
            !(pending_irqs_ != 0 && regs_.interrupts_enabled);
-    fast_until = deferred_irqs_ != 0 ? irq_release_at_ : ~static_cast<u64>(0);
-    if (sample_at_ < fast_until) fast_until = sample_at_;
+    fast_until = batch_until();
     return 0;
   };
   // Side exits hand the architectural state to the block tier exactly as
@@ -668,26 +725,20 @@ std::optional<Exit> Vcpu::run_trace(const Trace& tr, u64 budget_end,
     const MicroOp& u = uops[i];
     if (const u8 why = boundary(u.va)) return side_exit(why, u.va);
     if (fast && u.seg > 1) {
-      // Straight-line simple run: every op in it retires one instruction
-      // for cost_default, cannot fault, never reads cycles_, and cannot
-      // disturb any guard input — so the per-op budget/guard checks and the
-      // retirement accounting hoist out of the loop entirely. The batch is
-      // clamped so it stops at exactly the op boundary where per-op
-      // execution would have re-checked the budget or crossed the
-      // deferred-IRQ release cycle (fast implies cycles_ < fast_until and
-      // the boundary implies at least one instruction of budget, so len >= 1
-      // and at least one op retires).
-      const u32 cd = perf_.cost_default != 0 ? perf_.cost_default : 1;
-      u64 len = u.seg;
-      if (budget_end - instructions_ < len) len = budget_end - instructions_;
-      const u64 by_cycles = (fast_until - cycles_ - 1) / cd + 1;
-      if (by_cycles < len) len = by_cycles;
-      const std::size_t stop = i + static_cast<std::size_t>(len);
-      for (std::size_t e = i; e < stop; ++e)
-        exec_simple(uops[e].kind, uops[e].r1, uops[e].r2, uops[e].imm);
-      base = retire(perf_.cost_default, base, len);
+      // Straight-line simple run: the per-op budget/guard checks and the
+      // retirement accounting hoist out of it (fast mode holds, so the
+      // batch bounds are the only boundaries with work to do). The
+      // boundary's pending-sample check sits before the next op, so a
+      // sample the batch reaches is attributed there, as per-op trace
+      // execution would.
+      const u64 len = run_simple_batch(budget_end, base, [&](u64 limit) {
+        const u64 ops = std::min<u64>(limit, u.seg);
+        for (std::size_t e = i; e < i + ops; ++e)
+          exec_simple(uops[e].kind, uops[e].r1, uops[e].r2, uops[e].imm);
+        return ops;
+      });
       executed += static_cast<u32>(len);
-      i = stop;
+      i += static_cast<std::size_t>(len);
       if (i == n) {
         // The segment reached the end of the trace (a trace only ends on a
         // simple op when the op or block cap cut it mid-block).

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -259,8 +260,33 @@ class Vcpu {
   /// Straight-line continuation inside the current cached block: retire
   /// instructions directly from the cursor while nothing that could change
   /// behaviour (IRQs, breakpoints, TLB fills, frame writes, page-end fetch
-  /// probes) is in play, bailing back to step() the moment anything is.
+  /// probes) is in play, bailing back to step() the moment anything is. A
+  /// simple op at the cursor starts a batch (run_block_batch); any other op
+  /// runs through exec_insn.
   Exit run_cached_tail(u64 budget_end);
+  /// The run of simple ops at the head of `run` (the cursor's rest of the
+  /// block, whose first op is simple and already guarded) as one batch. It
+  /// stops before any op in the page-tail region, at a breakpoint or at the
+  /// armed suppress-once, and at the first non-simple op, on top of
+  /// run_simple_batch's budget and cycle bounds, then fires the sample the
+  /// last op's retirement reached, as per-op execution would have.
+  void run_block_batch(std::span<const isa::Instruction> run, u64 budget_end);
+  /// The one simple-batch executor of both cached tiers. Callers have budget
+  /// left (instructions_ < budget_end), so `limit` >= 1. `exec(limit)` runs
+  /// between 1 and `limit` straight-line simple ops and returns how many it
+  /// ran; they retire as one batch against `miss_base` (updated like
+  /// retire's return). `limit` stops the batch where per-op execution would
+  /// have left its loop on the budget, or right after the op whose
+  /// retirement reaches batch_until(). Simple ops cannot move any other
+  /// guard input (see UOp), so nothing else needs a per-op check.
+  template <class Exec>
+  u64 run_simple_batch(u64 budget_end, u64& miss_base, Exec&& exec);
+  /// The cycle count at which a per-op boundary has work to do: the next
+  /// sample, or the deferred-IRQ release when one is parked.
+  Cycles batch_until() const {
+    return deferred_irqs_ != 0 ? std::min(irq_release_at_, sample_at_)
+                               : sample_at_;
+  }
   /// Trace-tier dispatch at regs_.pc, chaining trace-to-trace as long as
   /// each landing pc heads another valid trace. Sets *dispatched when it
   /// either ran a trace (the returned Exit is authoritative, kNone meaning

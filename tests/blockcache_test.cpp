@@ -10,6 +10,8 @@
 // memoized runs, store-backed runs, and concurrent builds from four threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <thread>
 
 #include "harness/harness.hpp"
@@ -283,8 +285,9 @@ TEST(DecodeMemo, FailureEndedBlockIsVerifiedPastTheFailure) {
   // Sixteen NOPs fill the key prefix, so both frames share a key; then
   // FF 14 00 (invalid) vs FF 14 85 imm32 (CALLTAB).
   auto code = [](u8 third) {
-    std::vector<u8> bytes(16, 0x90);
-    bytes.insert(bytes.end(), {0xFF, 0x14, third, 0, 0, 1, 0});
+    const u8 tail[] = {0xFF, 0x14, third, 0, 0, 1, 0};
+    std::vector<u8> bytes(16 + sizeof(tail), 0x90);
+    std::copy(std::begin(tail), std::end(tail), bytes.begin() + 16);
     return bytes;
   };
   const HostFrame bad = frame_with(host, 0, code(0x00));
@@ -647,6 +650,25 @@ TEST(DecodeMemoScope, RunReportShowsTheMemoAndMetricsDoNot) {
   EXPECT_NE(engine.render_run_report().find("\ndecode memo: "),
             std::string::npos);
   EXPECT_EQ(engine.metrics_json().find("memo"), std::string::npos);
+}
+
+// The block tier's simple-op batches are a host dispatch shape: the run
+// report shows them, the exported metrics never carry them.
+TEST(BlockBatches, RunReportShowsThemAndMetricsDoNot) {
+  harness::GuestSystem sys;
+  core::FaceChangeEngine engine(sys.hv(), sys.os().kernel());
+  engine.enable();
+  sys.run_for(2'000'000);
+  const cpu::BlockCache::Stats& stats = sys.vcpu().block_cache().stats();
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_GT(stats.batch_insns, stats.batches);
+  EXPECT_LE(stats.batch_insns, stats.insn_hits);
+  const std::string report = engine.render_run_report();
+  const std::string line = "\nblock batches: " +
+                           std::to_string(stats.batch_insns) + " insns in " +
+                           std::to_string(stats.batches) + " batches (mean ";
+  EXPECT_NE(report.find(line), std::string::npos) << report;
+  EXPECT_EQ(engine.metrics_json().find("batch"), std::string::npos);
 }
 
 }  // namespace

@@ -24,8 +24,17 @@
 // where 0B 0F decodes as a valid `or ecx, [edi]`. Those programs run twice
 // through one DecodeMemo: on the rerun every block build is a memo hit, and
 // the per-step comparison must still hold.
+//
+// The block tier retires straight-line simple runs as one batch. Three
+// cases pin its bounds: loops whose straight-line body runs into the
+// page-tail region of a page whose next page is unmapped or TLB-cold; a
+// short-period sampling profiler on the uncached and block-only guests,
+// whose (cycles, pc, periods) streams must match; and the block tier
+// stepped one instruction per run() beside the batched one, whose
+// insn_hits must match.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <sstream>
 #include <string>
@@ -489,12 +498,29 @@ class Generator {
   u32 smc_sites_ = 0;
 };
 
-enum class Tier { kUncached, kBlockOnly, kTrace };
-constexpr const char* kTierName[] = {"uncached", "block-only", "trace"};
+enum class Tier { kUncached, kBlockOnly, kTrace, kBlockStepped };
+constexpr const char* kTierName[] = {"uncached", "block-only", "trace",
+                                     "block-only stepped"};
+
+/// The sampling profiler's stream as a guest saw it. The tier each sample
+/// names is left out: every tier reports its own.
+struct SampleLog final : SampleSink {
+  struct Sample {
+    Cycles now = 0;
+    GVirt pc = 0;
+    u64 periods = 0;
+    bool operator==(const Sample&) const = default;
+  };
+  std::vector<Sample> samples;
+  void on_sample(Cycles now, GVirt pc, u8 /*tier*/, u64 periods) override {
+    samples.push_back({now, pc, periods});
+  }
+};
 
 struct Guest {
-  Guest(Tier tier, const Program& p, bool alias_code, DecodeMemo* memo)
-      : machine(kMachineMib), vcpu(machine, memo) {
+  Guest(Tier t, const Program& p, bool alias_code, DecodeMemo* memo,
+        Cycles sample_period)
+      : tier(t), machine(kMachineMib), vcpu(machine, memo) {
     mem::GuestPageTableBuilder builder(machine, 0x1000, 0x100000);
     dir = builder.create_directory();
     builder.map(dir, kKernelBase, 0, machine.guest_phys_pages());
@@ -510,6 +536,7 @@ struct Guest {
     vcpu.set_block_cache_enabled(tier != Tier::kUncached);
     vcpu.set_trace_cache_enabled(tier == Tier::kTrace);
     if (tier == Tier::kTrace) vcpu.set_trace_hot_threshold(1);
+    vcpu.set_sample_sink(&log, sample_period);  // period 0: detached
     mem::Mmu& mmu = machine.mmu();
     mmu.write32(kIdt + kIrqVector * 4u, p.irq_handler);
     mmu.write32(kIdt + kSoftVector * 4u, p.irq_handler);
@@ -526,8 +553,26 @@ struct Guest {
     mmu.reset_stats();
   }
 
+  /// Vcpu::run(budget). The stepped tier retires the budget one run(1) at a
+  /// time, so it never enters the block-tail loop or its batches: the
+  /// block tier's per-instruction reference.
+  Exit run(u64 budget) {
+    if (tier != Tier::kBlockStepped) return vcpu.run(budget);
+    Exit last;
+    for (u64 i = 0; i < budget; ++i) {
+      last = vcpu.run(1);
+      if (last.reason != ExitReason::kInstructionLimit) break;
+    }
+    return last;
+  }
+  bool block_tier_only() const {
+    return tier == Tier::kBlockOnly || tier == Tier::kBlockStepped;
+  }
+
+  Tier tier;
   mem::Machine machine;
   Vcpu vcpu;
+  SampleLog log;
   GPhys dir = 0;
   Exit exit;
 };
@@ -571,6 +616,26 @@ std::string state_diff(Guest& x, Guest& y) {
         static_cast<u64>(y.exit.reason));
   field("exit_pc", x.exit.pc, y.exit.pc);
   field("data_digest", data_digest(x), data_digest(y));
+  // The uncached and block tiers attribute a sample to the instruction
+  // whose retirement reached it; the trace tier to the boundary after.
+  if (x.tier != Tier::kTrace && y.tier != Tier::kTrace) {
+    const std::vector<SampleLog::Sample>& a = x.log.samples;
+    const std::vector<SampleLog::Sample>& b = y.log.samples;
+    std::size_t i = 0;
+    while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+    if (i < a.size() && i < b.size()) {
+      out << "  sample #" << std::dec << i << std::hex << ": (cycles 0x"
+          << a[i].now << ", pc 0x" << a[i].pc << ", periods 0x"
+          << a[i].periods << ") vs (cycles 0x" << b[i].now << ", pc 0x"
+          << b[i].pc << ", periods 0x" << b[i].periods << ")\n";
+    } else {
+      field("samples", a.size(), b.size());
+    }
+  }
+  // The block tier serves each instruction once, batched or not.
+  if (x.block_tier_only() && y.block_tier_only())
+    field("insn_hits", x.vcpu.block_cache().stats().insn_hits,
+          y.vcpu.block_cache().stats().insn_hits);
   return out.str();
 }
 
@@ -583,25 +648,40 @@ struct Coverage {
   u64 faults = 0;
   u64 breakpoints = 0;
   u64 recoveries = 0;
+  u64 batch_insns = 0;  // block-only guest: instructions retired in batches
+  u64 samples = 0;      // uncached guest: samples taken
 };
 
-/// Run one program on all three tiers, in chunks of `max_chunk` (1 = per
+/// How run_program drives a program.
+struct Drive {
+  /// The compared guests; the first is the reference.
+  std::array<Tier, 3> tiers = {Tier::kUncached, Tier::kBlockOnly,
+                               Tier::kTrace};
+  /// Run to the halt a second time, entered through the code's second
+  /// mapping.
+  bool alias_code = false;
+  /// Every guest decodes through this memo when one is given.
+  DecodeMemo* memo = nullptr;
+  /// Every guest carries a sampling profiler with this period (0: none).
+  Cycles sample_period = 0;
+};
+
+/// Run one program on three guests, in chunks of `max_chunk` (1 = per
 /// instruction) with seeded random chunk sizes above that, comparing the
-/// full state after every chunk. With `alias_code`, the program runs to its
-/// halt a second time, entered through the code's second mapping. With
-/// `hazards` the program has the UD2-recovery and odd-return constructs.
-/// Every guest decodes through `memo` when one is given. Returns false on
-/// divergence.
-bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov,
-                  bool alias_code = false, bool hazards = false,
-                  DecodeMemo* memo = nullptr) {
-  const Program p = Generator(seed, hazards).generate();
-  Guest g[3] = {Guest(Tier::kUncached, p, alias_code, memo),
-                Guest(Tier::kBlockOnly, p, alias_code, memo),
-                Guest(Tier::kTrace, p, alias_code, memo)};
+/// full state of each guest with the first after every chunk, and the
+/// block-only guests with each other. Returns false on divergence.
+bool run_program(const Program& p, u64 seed, u32 max_chunk, Coverage* cov,
+                 const Drive& drive) {
+  Guest g[3] = {
+      Guest(drive.tiers[0], p, drive.alias_code, drive.memo,
+            drive.sample_period),
+      Guest(drive.tiers[1], p, drive.alias_code, drive.memo,
+            drive.sample_period),
+      Guest(drive.tiers[2], p, drive.alias_code, drive.memo,
+            drive.sample_period)};
   Rng events(seed * 0x9E3779B97F4A7C15ull + max_chunk);
   constexpr u64 kMaxSteps = 400'000;
-  u32 passes = alias_code ? 2 : 1;
+  u32 passes = drive.alias_code ? 2 : 1;
   for (u64 step = 0;; ++step) {
     if (step >= kMaxSteps) {
       ADD_FAILURE() << "seed " << seed << ": program did not halt";
@@ -618,14 +698,19 @@ bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov,
       }
     }
     const u64 budget = max_chunk == 1 ? 1 : events.between(1, max_chunk);
-    for (Guest& x : g) x.exit = x.vcpu.run(budget);
-    for (int t = 1; t < 3; ++t) {
-      std::string diff = state_diff(g[0], g[t]);
+    for (Guest& x : g) x.exit = x.run(budget);
+    constexpr std::pair<int, int> kPairs[] = {{0, 1}, {0, 2}, {1, 2}};
+    for (const auto& [t, u] : kPairs) {
+      // Beyond the reference, two block-tier guests also share insn_hits.
+      if (t != 0 && !(g[t].block_tier_only() && g[u].block_tier_only()))
+        continue;
+      std::string diff = state_diff(g[t], g[u]);
       if (diff.empty()) continue;
       ADD_FAILURE() << "divergence: seed " << seed << " chunk<=" << max_chunk
                     << " step " << step << " pc=0x" << std::hex
                     << g[0].vcpu.regs().pc << std::dec << " tier "
-                    << kTierName[t] << " vs uncached:\n"
+                    << kTierName[static_cast<int>(g[u].tier)] << " vs "
+                    << kTierName[static_cast<int>(g[t].tier)] << ":\n"
                     << diff;
       return false;
     }
@@ -672,7 +757,75 @@ bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov,
   cov->fused_exec += ts.fused_exec;
   cov->side_exits += ts.side_exits;
   cov->trace_code_writes += ts.inval_guest_write;
+  cov->batch_insns += g[1].vcpu.block_cache().stats().batch_insns;
+  cov->samples += g[0].log.samples.size();
   return true;
+}
+
+/// run_program on seed's generated program, on the uncached, block-only and
+/// trace tiers. `hazards` adds the UD2-recovery and odd-return constructs.
+bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov,
+                  bool alias_code = false, bool hazards = false,
+                  DecodeMemo* memo = nullptr) {
+  Drive drive;
+  drive.alias_code = alias_code;
+  drive.memo = memo;
+  return run_program(Generator(seed, hazards).generate(), seed, max_chunk,
+                     cov, drive);
+}
+
+/// A counted loop whose body is one straight-line block of random simple
+/// ops ending in the last bytes of `page`: `sub si, b` sits at page offset
+/// 0xFFA, inside the page-tail region where every fetch probes the next
+/// page, followed by `jnz loop` and the exit's `jz done`. Either the next
+/// page is unmapped (every probe misses), or `evict_next` makes a load at
+/// the loop head evict the next page's TLB entry (the first probe of each
+/// pass misses).
+Program page_tail_program(u64 seed, GVirt page, bool evict_next) {
+  Rng rng(seed);
+  Assembler a;
+  Program p;
+  auto loop = a.make_label();
+  auto done = a.make_label();
+  if (rng.chance(0.8)) a.sti();
+  a.mov_imm(Reg::SI, rng.between(4, 40));
+  a.mov_imm(Reg::B, 1);
+  a.jmp(loop);
+  const u32 handler_off = a.size();
+  a.iret();
+  a.bind(done);
+  a.hlt();
+  a.bind(loop);
+  const u32 loop_off = a.size();
+  // Same direct-mapped TLB slot as the next page (see kAliasVa).
+  if (evict_next) a.load_abs(page + kPageSize + 512 * kPageSize);
+  std::vector<u32> op_offsets;
+  const u32 body_bytes = rng.between(8, 100);
+  while (a.size() - loop_off < body_bytes) {
+    op_offsets.push_back(a.size());
+    const Reg dst = kFree[rng.below(4)];
+    const Reg src = kAny[rng.below(8)];
+    switch (rng.below(8)) {
+      case 0: a.nop(); break;
+      case 1: a.mov(dst == Reg::B ? Reg::C : dst, src); break;
+      case 2: a.mov_imm(dst == Reg::B ? Reg::D : dst, rng.next_u32()); break;
+      case 3: a.add(dst == Reg::B ? Reg::A : dst, src); break;
+      case 4: a.xor_(dst == Reg::B ? Reg::C : dst, src); break;
+      case 5: a.cmp(dst, src); break;
+      case 6: a.add_imm_a(rng.next_u32()); break;
+      default: a.sub_imm_a(rng.below(3)); break;
+    }
+  }
+  op_offsets.push_back(a.size());
+  a.sub(Reg::SI, Reg::B);
+  a.jnz(loop);
+  a.jz(done);
+  p.base = page + kPageSize - a.size();
+  p.bytes = a.finish(p.base);
+  p.irq_handler = p.base + handler_off;
+  for (u32 off : op_offsets)
+    if (rng.chance(0.05)) p.breakpoints.push_back(p.base + off);
+  return p;
 }
 
 constexpr u64 kSeeds = 64;
@@ -732,6 +885,47 @@ TEST(RandomLockstep, HazardsRerunThroughASharedDecodeMemo) {
   EXPECT_GT(cov.recoveries, 0u);
   EXPECT_GT(cov.trace_insns, 1000u);
   EXPECT_GT(cov.trace_code_writes, 0u);
+}
+
+// Straight-line simple runs that reach the page-tail region: the block tier
+// must hand the tail's instructions to step(), whose fetch probes (and
+// charges a miss on) the next page exactly as uncached fetches do. Each
+// program also runs sampled, beside the stepped block tier.
+TEST(RandomLockstep, SimpleRunsIntoThePageTail) {
+  Coverage cov;
+  Drive sampled;
+  sampled.tiers = {Tier::kUncached, Tier::kBlockOnly, Tier::kBlockStepped};
+  sampled.sample_period = 11;
+  for (u64 seed = 1; seed <= 32; ++seed) {
+    for (const bool evict : {false, true}) {
+      const GVirt page =
+          evict ? kCodePage + (seed % 4) * kPageSize : kUnmapped - kPageSize;
+      const Program p = page_tail_program(seed, page, evict);
+      if (!run_program(p, seed, 97, &cov, Drive{})) return;
+      if (!run_program(p, seed, 97, &cov, sampled)) return;
+    }
+  }
+  EXPECT_GT(cov.batch_insns, 1000u);
+  EXPECT_GT(cov.breakpoints, 0u);
+}
+
+// A short-period sampling profiler on the uncached and block-only tiers: a
+// batch must end on the instruction whose retirement reaches a sample and
+// attribute the sample to it, so the (cycles, pc, periods) streams match.
+// The third guest is the block tier stepped one instruction per run() (no
+// batches): both block guests must count the same insn_hits.
+TEST(RandomLockstep, SampledBlockTierMatchesUncachedAndStepping) {
+  Coverage cov;
+  Drive drive;
+  drive.tiers = {Tier::kUncached, Tier::kBlockOnly, Tier::kBlockStepped};
+  for (u64 seed = 1; seed <= 32; ++seed) {
+    drive.sample_period = 5 + seed % 37;
+    const Program p = Generator(seed, false).generate();
+    if (!run_program(p, seed, 97, &cov, drive)) return;
+  }
+  EXPECT_GT(cov.batch_insns, 10000u);
+  EXPECT_GT(cov.samples, 1000u);
+  EXPECT_GT(cov.breakpoints, 0u);
 }
 
 }  // namespace
