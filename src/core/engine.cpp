@@ -18,7 +18,6 @@ constexpr std::size_t kMaxScopedRanges = 64;
 // depend on fc_obs consumers of its types, so the constants are mirrored).
 static_assert(cpu::kTierInterp == obs::kSampleTierInterp);
 static_assert(cpu::kTierBlock == obs::kSampleTierBlock);
-static_assert(cpu::kTierTrace == obs::kSampleTierTrace);
 
 /// The telemetry plane's vCPU-facing half: receives every cycle-driven
 /// sample, attributes it (function, view, tier) through the kernel symbol
@@ -65,13 +64,11 @@ class EngineTelemetry final : public cpu::SampleSink {
     const mem::HostMemory& host = engine_->hv_->machine().host();
     const FaceChangeEngine::Stats& es = engine_->stats_;
     const cpu::BlockCache::Stats& bs = vcpu.block_cache().stats();
-    const cpu::TraceCache::Stats& ts = vcpu.trace_cache().stats();
     timeline_.append(
         index, now,
         {vcpu.instructions_retired(), engine_->recovery_->stats().recoveries,
          es.view_switches(), es.switches_skipped_same_view, bs.insn_hits,
-         bs.block_misses, ts.dispatched, ts.side_exits,
-         host.cow_promotions(), host.private_frame_count(),
+         bs.block_misses, host.cow_promotions(), host.private_frame_count(),
          options_.queue_depth ? options_.queue_depth() : 0,
          profile_.total_weight(),
          options_.io_events ? options_.io_events() : 0,
@@ -93,9 +90,8 @@ const std::vector<std::string>& FaceChangeEngine::timeline_columns() {
   static const std::vector<std::string> kColumns = {
       "instructions",    "recoveries",    "view_switches",
       "switches_skipped", "block_insn_hits", "block_misses",
-      "trace_dispatched", "trace_side_exits", "cow_promotions",
-      "private_frames",  "queue_depth",   "samples",
-      "io_events",       "io_ring_depth"};
+      "cow_promotions",  "private_frames", "queue_depth",
+      "samples",         "io_events",     "io_ring_depth"};
   return kColumns;
 }
 
@@ -302,11 +298,10 @@ void FaceChangeEngine::apply_view(const KernelView* next) {
   FC_TRACE_EVENT(kEptRepoint, 0, 0, written.pde_writes - before.pde_writes,
                  written.pte_writes - before.pte_writes, 0, 0);
   ept.invalidate();
-  // Cached decodes and traces are keyed by host frame, so the repoint
-  // itself cannot stale them; the notifications drop the straight-line
-  // cursor and record the switch in each cache's invalidation stats.
+  // Cached decodes are keyed by host frame, so the repoint itself cannot
+  // stale them; the notification drops the straight-line cursor and records
+  // the switch in the cache's invalidation stats.
   hv_->vcpu().block_cache().note_view_switch();
-  hv_->vcpu().trace_cache().note_view_switch();
   charge_switch(before, hv_->vcpu().perf_model().cost_tlb_flush);
 }
 
@@ -343,7 +338,6 @@ void FaceChangeEngine::apply_descriptor(const SwitchDescriptor& descriptor) {
   }
 
   hv_->vcpu().block_cache().note_view_switch();
-  hv_->vcpu().trace_cache().note_view_switch();
   ++stats_.fastpath_switches;
   stats_.fastpath_pde_writes += descriptor.pde_writes.size();
   stats_.fastpath_pte_writes += descriptor.pte_writes.size();
@@ -522,15 +516,7 @@ std::string FaceChangeEngine::render_run_report() const {
   out << "decode memo: " << memo.lookups << " lookups, " << memo.hits
       << " hits, " << memo.resident_runs << " runs / "
       << memo.resident_insns << " insns resident, " << memo.copied_bytes
-      << " bytes copied\n";
-  const cpu::TraceCache& tc = hv_->vcpu().trace_cache();
-  const cpu::TraceCache::Stats& ts = tc.stats();
-  out << "trace tier: "
-      << (hv_->vcpu().trace_cache_enabled() ? "enabled" : "disabled") << ", "
-      << ts.built << " built, " << ts.dispatched << " dispatched ("
-      << ts.completions << " completions, " << ts.side_exits
-      << " side exits), " << ts.trace_insns << " insns retired in traces, "
-      << ts.retired << " retired stale, " << tc.size() << " resident";
+      << " bytes copied";
   if (!audit_.empty()) {
     const RecoveryEngine::Stats& rs = recovery_->stats();
     out << "\nstatic audit: " << audit_.hazard_returns.size()
@@ -605,24 +591,6 @@ void FaceChangeEngine::export_metrics(obs::Metrics& out) const {
   out.set("block_cache.inval_view_switch", cache.inval_view_switch);
   out.set("block_cache.inval_capacity", cache.inval_capacity);
   out.gauge_set("block_cache.blocks_resident", bc.size());
-
-  const cpu::TraceCache& tc = hv_->vcpu().trace_cache();
-  const cpu::TraceCache::Stats& ts = tc.stats();
-  out.set("trace_cache.built", ts.built);
-  out.set("trace_cache.build_failures", ts.build_failures);
-  out.set("trace_cache.dispatched", ts.dispatched);
-  out.set("trace_cache.completions", ts.completions);
-  out.set("trace_cache.side_exits", ts.side_exits);
-  out.set("trace_cache.retired", ts.retired);
-  out.set("trace_cache.trace_insns", ts.trace_insns);
-  out.set("trace_cache.fused_built", ts.fused_built);
-  out.set("trace_cache.fused_exec", ts.fused_exec);
-  out.set("trace_cache.inval_guest_write", ts.inval_guest_write);
-  out.set("trace_cache.inval_code_load", ts.inval_code_load);
-  out.set("trace_cache.inval_recycle", ts.inval_recycle);
-  out.set("trace_cache.inval_view_switch", ts.inval_view_switch);
-  out.set("trace_cache.inval_capacity", ts.inval_capacity);
-  out.gauge_set("trace_cache.traces_resident", tc.size());
 
   const hv::Hypervisor::Stats& hvs = hv_->stats();
   out.set("hv.invalid_opcode_exits", hvs.invalid_opcode_exits);

@@ -324,10 +324,25 @@ VmResult FleetRunner::run_one_vm(u32 vm_id) {
   return result;
 }
 
+u32 resolved_workers(u32 vms, u32 jobs) {
+  return std::min(std::max(jobs == 0 ? vms : jobs, 1u), std::max(vms, 1u));
+}
+
+std::string fleet_shape_error(u32 vms, u32 jobs) {
+  if (vms < 1 || vms > kMaxVms)
+    return "--vms " + std::to_string(vms) + " is outside [1, " +
+           std::to_string(kMaxVms) + "]";
+  const u32 workers = resolved_workers(vms, jobs);
+  if (workers > kMaxWorkers)
+    return "--vms " + std::to_string(vms) + " --jobs " + std::to_string(jobs) +
+           " starts " + std::to_string(workers) + " workers, over the cap of " +
+           std::to_string(kMaxWorkers);
+  return {};
+}
+
 FleetReport FleetRunner::run() {
   const u32 vms = options_.vms;
-  u32 jobs = options_.jobs == 0 ? vms : options_.jobs;
-  jobs = std::min(std::max(jobs, 1u), std::max(vms, 1u));
+  const u32 jobs = resolved_workers(vms, options_.jobs);
 
   FleetReport report;
   report.vms.resize(vms);

@@ -43,6 +43,19 @@ class GuestSystem;
 
 namespace fc::fleet {
 
+/// Caps on a fleet's shape; the tools reject a larger --vms or worker count
+/// before building anything.
+inline constexpr u32 kMaxVms = 4096;
+inline constexpr u32 kMaxWorkers = 256;
+
+/// The worker threads FleetRunner::run starts for `vms` VMs at `jobs`
+/// (0 = one per VM): at least one, and no more than the VM count.
+u32 resolved_workers(u32 vms, u32 jobs);
+
+/// Empty when `vms` is in [1, kMaxVms] and resolved_workers(vms, jobs) is at
+/// most kMaxWorkers; otherwise why the shape is rejected.
+std::string fleet_shape_error(u32 vms, u32 jobs);
+
 struct FleetOptions {
   u32 vms = 8;
   /// Worker threads; 0 = one per VM (capped at the VM count either way).

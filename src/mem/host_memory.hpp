@@ -235,9 +235,9 @@ class HostMemory {
   void zero_frame(HostFrame f);
 
   // --- code write barrier ------------------------------------------------
-  /// Register a write-barrier observer. Multiple sinks may attach (the block
-  /// cache and the trace cache each watch code frames); every watched-frame
-  /// write fans out to all of them in registration order.
+  /// Register a write-barrier observer. Multiple sinks may attach (each
+  /// block cache decoding from this memory); every watched-frame write fans
+  /// out to all of them in registration order.
   void add_code_write_sink(CodeWriteSink* sink) {
     if (sink != nullptr) sinks_.push_back(sink);
   }

@@ -73,26 +73,6 @@ class Mmu {
   /// Returns nullopt on a stage-1 non-present entry or EPT miss.
   std::optional<HostFrame> translate_page(GVirt vpage_base);
 
-  /// Side-effect-free two-stage translation: no TLB fill, no stats, no
-  /// fill_version bump. The trace tier uses this while stitching blocks so
-  /// that building a trace never perturbs the miss counts the PerfModel
-  /// charges from.
-  std::optional<HostFrame> probe_page(GVirt vpage_base) const {
-    auto result = walk(vpage_base);
-    if (!result) return {};
-    return result->frame;
-  }
-
-  /// Read-only residency check: true iff a translate_page(vpage_base) right
-  /// now would hit the TLB and resolve to `expected`. Used by the trace tier
-  /// to re-establish its hoisted entry checks after fill_version moved
-  /// without charging the misses a real translate would.
-  bool tlb_resident(GVirt vpage_base, HostFrame expected) const {
-    const TlbEntry& slot = tlb_[(vpage_base >> kPageShift) % kTlbSize];
-    return slot.valid && slot.vpage == vpage_base && slot.cr3_tag == cr3_ &&
-           slot.ept_gen == ept_->generation() && slot.frame == expected;
-  }
-
   /// Stage-1 only: virtual → guest physical (used by VMI and the profiler,
   /// which reason about guest physical addresses).
   std::optional<GPhys> virt_to_phys(GVirt va) const;

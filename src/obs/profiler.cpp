@@ -24,7 +24,6 @@ const char* sample_tier_name(u8 tier) {
   switch (tier) {
     case kSampleTierInterp: return "interp";
     case kSampleTierBlock: return "block";
-    case kSampleTierTrace: return "trace";
   }
   return "tier?";
 }

@@ -1,5 +1,5 @@
 // Deterministic sampling profile: where do guest cycles go, by kernel
-// function, kernel view, and execution tier (interp / block / trace)?
+// function, kernel view, and execution tier (interp / block)?
 //
 // The vCPU fires a sample every `period` *simulated* cycles (see
 // cpu::SampleSink in vcpu.hpp) and the engine's telemetry adapter routes it
@@ -30,9 +30,8 @@ namespace fc::obs {
 /// sync; vcpu cannot include obs headers' consumers of its own types).
 inline constexpr u8 kSampleTierInterp = 0;
 inline constexpr u8 kSampleTierBlock = 1;
-inline constexpr u8 kSampleTierTrace = 2;
 
-/// "interp" / "block" / "trace" (anything else: "tier?").
+/// "interp" / "block" (anything else: "tier?").
 const char* sample_tier_name(u8 tier);
 
 class SampleProfile {

@@ -28,10 +28,6 @@ const char* kind_name(EventKind kind) {
     case EventKind::kVmExit: return "vm_exit";
     case EventKind::kTaskSpawn: return "task_spawn";
     case EventKind::kAttackVerdict: return "attack_verdict";
-    case EventKind::kTraceBuild: return "trace_build";
-    case EventKind::kTraceDispatch: return "trace_dispatch";
-    case EventKind::kTraceSideExit: return "trace_side_exit";
-    case EventKind::kTraceRetire: return "trace_retire";
     case EventKind::kDataViewWrite: return "dataview_write";
     case EventKind::kProfSample: return "prof_sample";
     case EventKind::kIoRingPublish: return "io_ring_publish";

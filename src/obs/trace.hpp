@@ -52,23 +52,16 @@ enum class EventKind : u8 {
   kVmExit,           // a0=pc; flags=cpu::ExitReason
   kTaskSpawn,        // a0=pid, a1=FNV-1a hash of comm
   kAttackVerdict,    // a0=detected, a1=recovery events, a2=name hash
-  // Trace-tier events (appended after kAttackVerdict so the wire encodings
-  // of every earlier kind are unchanged).
-  kTraceBuild,       // a0=entry va, a1=ops, a2=entry frame, a3=blocks chained
-  kTraceDispatch,    // a0=entry va, a2=entry frame (one per dispatch, which
-                     // may cover many self-loop iterations)
-  kTraceSideExit,    // a0=exit pc, a1=ops executed; flags: reason (see
-                     // TraceCache::SideExit)
-  kTraceRetire,      // a0=stale frame, a1=entry va; flags: write cause as in
-                     // kBlockInvalidate (0 = capacity clear)
-  // Data-view integrity events (appended after the trace-tier kinds; wire
-  // encodings of every earlier kind are unchanged).
-  kDataViewWrite,    // a0=guest va written, a1=bytes, a2=writer pc,
+  // Wire values 20-23 were the removed trace tier's kinds; they stay
+  // unassigned so every later kind keeps its encoding.
+  // Data-view integrity events (appended; wire encodings of every earlier
+  // kind are unchanged).
+  kDataViewWrite = 24,  // a0=guest va written, a1=bytes, a2=writer pc,
                      // a3=protected-object index; flags: bit0 whitelisted
   // Telemetry-plane events (appended after the data-view kind; wire
   // encodings of every earlier kind are unchanged).
   kProfSample,       // view=view at sample time, flags=execution tier
-                     // (0 interp / 1 block / 2 trace), a0=sampled pc,
+                     // (0 interp / 1 block), a0=sampled pc,
                      // a1=whole sample periods this sample stands for
   // IO data-plane events (appended after the telemetry kind; wire encodings
   // of every earlier kind are unchanged).

@@ -31,13 +31,8 @@ BlockCache::Fetched BlockCache::fetch(mem::HostMemory& host,
   for (u32 i = probe_start(key);; i = (i + 1) & (kTableSize - 1)) {
     if (slots_[i] == kEmptySlot) break;
     if (keys_[i] == key) {
-      DecodedBlock& candidate = arena_[slots_[i]];
-      if (candidate.frame_gen == gen(frame)) {
-        // Every table-probe hit is a taken branch (or trap return) landing on
-        // this block: the hotness signal the trace tier promotes on.
-        ++candidate.heat;
-        block = &candidate;
-      }
+      const DecodedBlock& candidate = arena_[slots_[i]];
+      if (candidate.frame_gen == gen(frame)) block = &candidate;
       break;
     }
   }
@@ -70,9 +65,7 @@ const DecodedBlock* BlockCache::build(mem::HostMemory& host,
 
   DecodedBlock block;
   block.frame = frame;
-  block.offset = static_cast<u16>(offset);
   block.frame_gen = gen(frame);
-  block.heat = 1;
   block.insns = run->insns;
   block.run = std::move(run);
 
@@ -100,17 +93,6 @@ const DecodedBlock* BlockCache::build(mem::HostMemory& host,
     }
   }
   return &arena_[index];
-}
-
-const DecodedBlock* BlockCache::peek(HostFrame frame, u32 offset) const {
-  const u64 key = block_key(frame, offset);
-  for (u32 i = probe_start(key);; i = (i + 1) & (kTableSize - 1)) {
-    if (slots_[i] == kEmptySlot) return nullptr;
-    if (keys_[i] == key) {
-      const DecodedBlock& candidate = arena_[slots_[i]];
-      return candidate.frame_gen == gen(frame) ? &candidate : nullptr;
-    }
-  }
 }
 
 void BlockCache::on_code_frame_write(HostFrame frame,

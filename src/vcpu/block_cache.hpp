@@ -25,8 +25,8 @@
 // the same bytes — another view's shadow copy, a recovered function, another
 // VM of the same SharedImage — one shared, immutable instruction run. The
 // memo is host-side only: a build counts as a build (stats, decode-cycle
-// charge) whether or not the memo had the run, and heat, generations, the
-// cursor and peek() stay per cache.
+// charge) whether or not the memo had the run, and generations and the
+// cursor stay per cache.
 //
 // Storage is an open-addressing hash table (flat key/slot arrays, linear
 // probing, no deletion except full clears) over an arena of blocks: branch
@@ -55,16 +55,14 @@ namespace fc::cpu {
 
 /// The page-tail region, where fewer than kMaxInstructionLength bytes
 /// remain: a fetch from here probes (and may charge a miss on) the next
-/// page, so the cached tiers leave these instructions to step().
+/// page, so the block tier leaves these instructions to step().
 inline bool in_page_tail(GVirt va) {
   return kPageSize - page_offset(va) < isa::kMaxInstructionLength;
 }
 
 struct DecodedBlock {
   HostFrame frame = 0;
-  u16 offset = 0;     // first instruction's offset within the frame
   u32 frame_gen = 0;  // frame write-generation the decode is valid for
-  u32 heat = 0;       // table-probe hit count; the trace tier's promotion key
   std::shared_ptr<const DecodeRun> run;     // owns what `insns` views
   std::span<const isa::Instruction> insns;  // the run's instructions
 };
@@ -163,8 +161,6 @@ class BlockCache final : public mem::CodeWriteSink {
     }
   }
 
-  void drop_cursor() { cur_insns_ = nullptr; }
-
   /// Engine notification at a view switch. Host-frame keying makes EPT
   /// repoints inherently safe (see file comment); this hook only drops the
   /// straight-line cursor — defense in depth against a switch landing
@@ -193,11 +189,6 @@ class BlockCache final : public mem::CodeWriteSink {
 
   /// Test hook: the current write generation of a frame.
   u32 frame_generation(HostFrame frame) const { return gen(frame); }
-
-  /// Read-only lookup for the trace tier: the cached block at
-  /// (frame, offset) if one exists at the frame's current generation.
-  /// Never builds, never touches the cursor or the stats.
-  const DecodedBlock* peek(HostFrame frame, u32 offset) const;
 
  private:
   static constexpr u32 kEmptySlot = 0xFFFFFFFFu;

@@ -32,15 +32,9 @@ struct PerfModel {
   // simulated cycle numbers stay identical with the cache on or off (the
   // lockstep equivalence test depends on that identity).
   //
-  // The trace tier inherits the same charging contract: a dispatched
-  // superblock retires each constituent instruction for exactly the cost
-  // the uncached interpreter would charge (cost_default per ALU op, the
-  // specific costs for call/ret/hlt/..., cost_tlb_walk per miss the MMU
-  // actually takes), fused ALU+Jcc pairs charge both halves, and batched
-  // segments charge length * cost_default in one add. Hoisting translation
-  // checks to trace entry is cycle-neutral because re-translation inside a
-  // trace would provably hit (no fill/EPT/write-epoch drift since entry).
-  // Lockstep asserts cycles AND tlb-miss equality per step across tiers.
+  // The block tier's simple-op batches charge length * cost_default in one
+  // add, exactly what per-op retirement charges. Lockstep asserts cycles
+  // AND tlb-miss equality per step across tiers.
   u32 cost_decode = 0;
 
   // Virtualization events (charged by the hypervisor / FACE-CHANGE engine).

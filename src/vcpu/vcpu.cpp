@@ -105,8 +105,11 @@ Vcpu::CachedFetch Vcpu::cached_fetch() {
   return {fetched.insn, false};
 }
 
-Exit Vcpu::step(u64 misses_before) {
+Exit Vcpu::step() {
   mem::Mmu& mmu = machine_->mmu();
+  // The baseline this instruction's walks are charged against: its fetch
+  // translation and every data access after it.
+  const u64 misses_before = mmu.stats().tlb_misses;
 
   // Re-detect deferred ("missed") interrupt edges once their release time
   // passes.
@@ -167,10 +170,9 @@ Exit Vcpu::step(u64 misses_before) {
 }
 
 // ---------------------------------------------------------------------------
-// Instruction semantics. exec_insn (the uncached and block tiers), the trace
-// dispatcher's per-op path, its batched simple segments and the ALU half of
-// a fused pair all execute these same helpers on the same kOpTable
-// lowering; the tiers differ only in dispatch and in how retire() is
+// Instruction semantics. exec_insn (the uncached and block tiers) and the
+// block tier's simple-op batches execute these same helpers on the same
+// kOpTable lowering; they differ only in dispatch and in how retire() is
 // called (per op, or once per batch).
 // ---------------------------------------------------------------------------
 
@@ -260,10 +262,8 @@ bool Vcpu::exec_mem(const MicroOp& u) {
       return load(regs_.gpr[u.r1], u.imm);
     case UOp::kStore:
     case UOp::kStoreAbs:
-      // Materialise the architectural pc before the store reaches memory:
-      // data-frame write sinks attribute the store to the executing
-      // instruction, and the trace tier's pc is otherwise lazy.
-      regs_.pc = u.va;
+      // regs_.pc still names the storing instruction, which data-frame
+      // write sinks attribute the store to.
       return machine_->mmu().try_write32(
           (u.kind == UOp::kStore ? regs_.gpr[u.r1] : 0) + u.imm,
           regs_.gpr[u.r2]);
@@ -288,18 +288,14 @@ u64 Vcpu::retire(u32 cost, u64 miss_baseline, u64 count) {
   return misses;
 }
 
-u8 Vcpu::guard(GVirt pc, const Versions& since) {
-  if ((deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
-      (pending_irqs_ != 0 && regs_.interrupts_enabled))
-    return TraceCache::kExitIrq;
-  if (pc == suppress_bp_at_ || (!breakpoints_.empty() && has_breakpoint(pc)))
-    return TraceCache::kExitBreakpoint;
+bool Vcpu::guard(GVirt pc) {
   mem::Mmu& mmu = machine_->mmu();
-  if (mmu.fill_version() != since.fill || mmu.ept().generation() != since.ept)
-    return TraceCache::kExitTranslation;
-  if (trace_cache_.write_epoch() != since.epoch)
-    return TraceCache::kExitCodeWrite;
-  return 0;
+  return (deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
+         (pending_irqs_ != 0 && regs_.interrupts_enabled) ||
+         pc == suppress_bp_at_ ||
+         (!breakpoints_.empty() && has_breakpoint(pc)) ||
+         mmu.fill_version() != fetch_tlb_version_ ||
+         mmu.ept().generation() != fetch_ept_gen_;
 }
 
 Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
@@ -490,23 +486,6 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before) {
   return pending_exit;
 }
 
-template <class Exec>
-u64 Vcpu::run_simple_batch(u64 budget_end, u64& miss_base, Exec&& exec) {
-  // Every simple op retires for cost_default, so the op whose retirement
-  // reaches `until` is the ceil((until - cycles_) / cost_default)-th; an
-  // overdue `until` (a sample left pending by an interrupt delivery) stops
-  // after the first. A zero cost never reaches it: dividing by 1 instead
-  // only ends the batch early, and the next one carries on.
-  const Cycles until = batch_until();
-  const u32 cd = perf_.cost_default != 0 ? perf_.cost_default : 1;
-  u64 limit = budget_end - instructions_;
-  const u64 by_cycles = cycles_ < until ? (until - cycles_ - 1) / cd + 1 : 1;
-  if (by_cycles < limit) limit = by_cycles;
-  const u64 n = exec(limit);
-  miss_base = retire(perf_.cost_default, miss_base, n);
-  return n;
-}
-
 void Vcpu::run_block_batch(std::span<const isa::Instruction> run,
                            u64 budget_end) {
   const GVirt head = regs_.pc;
@@ -518,26 +497,35 @@ void Vcpu::run_block_batch(std::span<const isa::Instruction> run,
   for (const GVirt bp : breakpoints_)
     if (bp > head && bp < stop) stop = bp;
   if (suppress_bp_at_ > head && suppress_bp_at_ < stop) stop = suppress_bp_at_;
+  // Every simple op retires for cost_default, so the op whose retirement
+  // reaches `until` (the next sample, or a parked IRQ's release) is the
+  // ceil((until - cycles_) / cost_default)-th; an overdue `until` (a sample
+  // left pending by an interrupt delivery) stops after the first. A zero
+  // cost never reaches it: dividing by 1 instead only ends the batch early,
+  // and the next one carries on.
+  const Cycles until = deferred_irqs_ != 0
+                           ? std::min(irq_release_at_, sample_at_)
+                           : sample_at_;
+  const u32 cd = perf_.cost_default != 0 ? perf_.cost_default : 1;
+  u64 limit = std::min<u64>(budget_end - instructions_, run.size());
+  const u64 by_cycles = cycles_ < until ? (until - cycles_ - 1) / cd + 1 : 1;
+  if (by_cycles < limit) limit = by_cycles;
   if (!in_block_) {
     in_block_ = true;
     block_start_ = head;
   }
+  const u64 misses = machine_->mmu().stats().tlb_misses;
   GVirt va = head;
   GVirt last = head;
-  u64 misses = machine_->mmu().stats().tlb_misses;
-  const u64 n = run_simple_batch(budget_end, misses, [&](u64 limit) {
-    const std::size_t end =
-        static_cast<std::size_t>(std::min<u64>(limit, run.size()));
-    std::size_t k = 0;
-    do {
-      const MicroOp u = lower_insn(run[k].op, run[k], va);
-      if (!is_simple(u.kind)) break;
-      exec_simple(u.kind, u.r1, u.r2, u.imm);
-      last = va;
-      va += run[k].length;
-    } while (++k < end && va < stop);
-    return static_cast<u64>(k);
-  });
+  std::size_t n = 0;
+  do {
+    const MicroOp u = lower_insn(run[n].op, run[n], va);
+    if (!is_simple(u.kind)) break;
+    exec_simple(u.kind, u.r1, u.r2, u.imm);
+    last = va;
+    va += run[n].length;
+  } while (++n < limit && va < stop);
+  retire(perf_.cost_default, misses, n);
   regs_.pc = va;
   block_cache_.advance_run(static_cast<u32>(n), va);
   if (cycles_ >= sample_at_) take_sample(last, kTierBlock);
@@ -553,12 +541,9 @@ Exit Vcpu::run_cached_tail(u64 budget_end) {
     // IRQ / breakpoint conditions, a changed TLB or EPT since the last
     // cached_fetch (the code-page translation may now miss and must be
     // re-run and charged), and the page-tail region where the slow path
-    // would probe the next page. Code writes are the cursor's own
-    // generation compare here, so the write epoch is passed through.
-    if (in_page_tail(pc) ||
-        guard(pc, {fetch_tlb_version_, fetch_ept_gen_,
-                   trace_cache_.write_epoch()}) != 0)
-      break;
+    // would probe the next page. A code write is caught by cursor_run's
+    // generation compare.
+    if (in_page_tail(pc) || guard(pc)) break;
     const std::span<const isa::Instruction> run = block_cache_.cursor_run(pc);
     if (run.empty()) break;
     if (is_simple(lower_insn(run[0].op, run[0], pc).kind)) {
@@ -572,269 +557,6 @@ Exit Vcpu::run_cached_tail(u64 budget_end) {
   return {ExitReason::kNone, regs_.pc};
 }
 
-Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
-  *dispatched = false;
-  mem::Mmu& mmu = machine_->mmu();
-  // Outer loop: a completed (or prediction-exited) dispatch lands on a pc
-  // that very often heads another trace — a call-heavy loop alternates
-  // between a body trace ending in RET and the continuation trace after the
-  // call site. Chaining here skips the return to run() and its preamble;
-  // every decline below still hands control back so step() handles the
-  // condition exactly as if this tier did not exist.
-  for (;;) {
-    const GVirt pc = regs_.pc;
-    // Once a chained dispatch has retired instructions, declines must report
-    // kNone at the current pc (run() resumes with step); before any dispatch
-    // the caller ignores the value. Anything the step() preamble would
-    // handle first declines the dispatch: step() re-evaluates the identical
-    // conditions on identical state (nothing is hoisted yet, so the guard's
-    // version compares cannot fire). Likewise the page-tail fetch region,
-    // where the slow path probes the next page.
-    if (instructions_ >= budget_end || in_page_tail(pc) ||
-        guard(pc, versions()) != 0)
-      return {ExitReason::kNone, pc};
-
-    auto frame = mmu.translate_page(page_base(pc));
-    if (!frame) {
-      // Returning the definitive exit here (instead of declining) keeps the
-      // failed translation's miss count at exactly one — step() would
-      // translate, and count, again.
-      *dispatched = true;
-      end_block(pc);
-      return {ExitReason::kFetchFault, pc};
-    }
-    const u32 offset = page_offset(pc);
-    Trace* tr = trace_cache_.find(*frame, offset);
-    if (tr == nullptr) {
-      // Promote on the spot if the block here has gone hot; dispatch on the
-      // next visit (the entry-translate miss, if any, is charged by the
-      // block tier through the shared misses_before snapshot either way).
-      const DecodedBlock* block = block_cache_.peek(*frame, offset);
-      if (block != nullptr && block->heat >= trace_hot_threshold_)
-        trace_cache_.build(machine_->host(), mmu, block_cache_, *frame,
-                           offset, pc);
-      return {ExitReason::kNone, pc};
-    }
-    // The trace's micro-ops carry the absolute addresses it was built at; a
-    // second mapping of the same frame reaches it under another pc.
-    if (pc != tr->entry_va || !trace_cache_.validate_translations(*tr, mmu))
-      return {ExitReason::kNone, pc};
-
-    *dispatched = true;
-    trace_cache_.note_dispatch(*tr);
-    block_cache_.drop_cursor();
-    exec_tier_ = kTierTrace;  // kSlow ops run through exec_insn
-    // The walk-charge baseline for the first retired instruction predates
-    // this iteration's entry translate, so a probe miss from a dispatch that
-    // then declines still reaches step() (via *misses_io) uncharged exactly
-    // once. run_trace keeps it current: every retired op charges its own
-    // walk delta, so at any side exit or chain point it is the caller's
-    // next baseline — crucially *before* the next iteration's entry
-    // translate, whose miss must survive a decline and reach step()
-    // uncharged.
-    if (std::optional<Exit> exit = run_trace(*tr, budget_end, *misses_io))
-      return *exit;
-  }
-}
-
-std::optional<Exit> Vcpu::run_trace(const Trace& tr, u64 budget_end,
-                                    u64& base) {
-  // Snapshots the guard revalidates: while none of these move, every
-  // translation the trace skips (block boundaries, the self-loop re-entry)
-  // would provably hit, and no code byte under the trace has changed.
-  const Versions entry = versions();
-  const MicroOp* uops = tr.uops.data();
-  const std::size_t n = tr.uops.size();
-  u32 executed = 0;
-  std::size_t i = 0;
-  // While `fast` holds and cycles_ stays below `fast_until`, every guard
-  // except the budget compare is provably quiescent: the last full pass saw
-  // no deliverable IRQ, no breakpoints and no armed suppress-once, and every
-  // op executed since was pure (register-only — cannot fill the TLB, write
-  // code bytes, call the environment, or raise/unmask an IRQ) or a data
-  // access whose version compare passed. The only guard input pure ops do
-  // advance is cycles_, which matters exactly when a deferred IRQ's release
-  // time is crossed — hence the cycle bound instead of a per-op re-test.
-  bool fast = false;
-  u64 fast_until = 0;
-
-  // An instruction boundary inside the dispatch, before the op at `va` (or
-  // between the halves of a fused pair): the budget, then outside fast mode
-  // the pending sample and the guard. Returns a side-exit reason or 0.
-  auto boundary = [&](GVirt va) -> u8 {
-    if (instructions_ >= budget_end) return TraceCache::kExitBudget;
-    if (fast && cycles_ < fast_until) return 0;
-    // Pending sample first: fast mode parks on this boundary (fast_until is
-    // clamped to sample_at_ below), so the sample fires here with
-    // trace-tier attribution before the guard can side-exit.
-    if (cycles_ >= sample_at_) take_sample(va, kTierTrace);
-    if (const u8 why = guard(va, entry)) return why;
-    // Pending-but-masked IRQs stay undeliverable across pure ops; a
-    // deferred IRQ is handled by the cycle bound, and the sampling bound
-    // makes fast mode stop at the next sample boundary (sample_at_ >
-    // cycles_ after the take_sample above; ~0 when detached, a no-op).
-    fast = breakpoints_.empty() && suppress_bp_at_ == 0xFFFFFFFFu &&
-           !(pending_irqs_ != 0 && regs_.interrupts_enabled);
-    fast_until = batch_until();
-    return 0;
-  };
-  // Side exits hand the architectural state to the block tier exactly as
-  // uncached execution would see it.
-  auto side_exit = [&](u8 why, GVirt va) -> Exit {
-    regs_.pc = va;
-    trace_cache_.note_side_exit(why, va, executed);
-    return {ExitReason::kNone, va};
-  };
-  auto trap = [&](Exit exit) -> Exit {
-    trace_cache_.note_side_exit(TraceCache::kExitTrap, regs_.pc, executed);
-    return exit;
-  };
-  // Left the micro-op array with regs_.pc materialised: running off the
-  // last op is a completion, leaving mid-trace a prediction side exit.
-  auto leave = [&]() -> std::optional<Exit> {
-    if (i + 1 == n)
-      trace_cache_.note_completion(executed);
-    else
-      trace_cache_.note_side_exit(TraceCache::kExitPrediction, regs_.pc,
-                                  executed);
-    return std::nullopt;
-  };
-  // Landing resolution for the ops whose successor is only known at runtime
-  // (ret, kSlow): the predicted chain, the hot-loop back edge, or off the
-  // trace.
-  auto land = [&]() {
-    if (i + 1 < n && regs_.pc == uops[i + 1].va) {
-      ++i;
-      return true;
-    }
-    if (regs_.pc == tr.entry_va) {
-      i = 0;
-      return true;
-    }
-    return false;
-  };
-  // After a data access: a TLB fill can evict a boundary the hoisted
-  // translation check relies on, and a store can hit a watched code frame;
-  // either moves a version, and dropping `fast` lets the next op's full
-  // guard attribute the exit.
-  auto recheck = [&] {
-    if (fast && versions() != entry) fast = false;
-  };
-
-  while (true) {
-    const MicroOp& u = uops[i];
-    if (const u8 why = boundary(u.va)) return side_exit(why, u.va);
-    if (fast && u.seg > 1) {
-      // Straight-line simple run: the per-op budget/guard checks and the
-      // retirement accounting hoist out of it (fast mode holds, so the
-      // batch bounds are the only boundaries with work to do). The
-      // boundary's pending-sample check sits before the next op, so a
-      // sample the batch reaches is attributed there, as per-op trace
-      // execution would.
-      const u64 len = run_simple_batch(budget_end, base, [&](u64 limit) {
-        const u64 ops = std::min<u64>(limit, u.seg);
-        for (std::size_t e = i; e < i + ops; ++e)
-          exec_simple(uops[e].kind, uops[e].r1, uops[e].r2, uops[e].imm);
-        return ops;
-      });
-      executed += static_cast<u32>(len);
-      i += static_cast<std::size_t>(len);
-      if (i == n) {
-        // The segment reached the end of the trace (a trace only ends on a
-        // simple op when the op or block cap cut it mid-block).
-        regs_.pc = uops[n - 1].fall_va;
-        trace_cache_.note_completion(executed);
-        return std::nullopt;
-      }
-      continue;
-    }
-    // Branch targets were resolved to micro-op indices at build, so staying
-    // on the predicted chain is an index assignment, not a pc compare.
-    if (is_simple(u.kind)) {
-      exec_simple(u.kind, u.r1, u.r2, u.imm);
-      base = retire(perf_.cost_default, base);
-    } else switch (u.kind) {
-      case UOp::kRdtsc:
-        rdtsc();
-        base = retire(perf_.cost_default, base);
-        break;
-      case UOp::kJmp:
-      case UOp::kJcc:
-      case UOp::kFused: {
-        if (u.kind == UOp::kFused) {
-          // ALU half: if anything fires in the window after it, it is
-          // retired and pc sits on the branch — byte-identical to uncached
-          // stepping. Under `fast` only the budget can fire (the ALU half
-          // is pure).
-          exec_simple(static_cast<UOp>(u.aux & ~kWantZf), u.r1, u.r2, u.imm);
-          base = retire(perf_.cost_default, base);
-          ++executed;
-          if (const u8 why = boundary(u.jcc_va))
-            return side_exit(why, u.jcc_va);
-          trace_cache_.note_fused_exec();
-        }
-        const bool taken =
-            u.kind == UOp::kJmp || regs_.zf == ((u.aux & kWantZf) != 0);
-        base = retire(perf_.cost_default, base);
-        ++executed;
-        const u16 idx = taken ? u.taken_idx : u.fall_idx;
-        if (idx != kNoTarget) {
-          i = idx;
-          continue;
-        }
-        regs_.pc = taken ? u.taken_va : u.fall_va;
-        return leave();
-      }
-      case UOp::kCall:
-        if (!push(u.fall_va)) return trap(data_fault(u.va));
-        base = retire(perf_.cost_call, base);
-        ++executed;
-        recheck();
-        if (u.taken_idx != kNoTarget) {
-          i = u.taken_idx;
-          continue;
-        }
-        regs_.pc = u.taken_va;
-        return leave();
-      case UOp::kRet: {
-        u32 target = 0;
-        if (!pop(target)) return trap(data_fault(u.va));
-        base = retire(perf_.cost_ret, base);
-        ++executed;
-        recheck();
-        regs_.pc = target;
-        // Builds stop the chain at RET, so this is normally the last
-        // micro-op, but a recursive loop can return straight onto the
-        // trace entry.
-        if (land()) continue;
-        return leave();
-      }
-      case UOp::kSlow: {
-        regs_.pc = u.va;  // materialise: exec_insn is pc-relative
-        Exit exit = exec_insn(tr.slow[u.slow_index], base);
-        if (exit.reason != ExitReason::kNone) return trap(exit);
-        base = machine_->mmu().stats().tlb_misses;
-        ++executed;
-        fast = false;  // may have filled the TLB, run the env, raised IRQs
-        if (land()) continue;
-        return leave();
-      }
-      default:  // data memory
-        if (!exec_mem(u)) return trap(data_fault(u.va));
-        base = retire(perf_.cost_default, base);
-        recheck();
-        break;
-    }
-    // Straight-line advance.
-    ++executed;
-    if (++i == n) {
-      regs_.pc = u.fall_va;
-      trace_cache_.note_completion(executed);
-      return std::nullopt;
-    }
-  }
-}
-
 Exit Vcpu::run(u64 max_instructions) {
   const u64 budget_end = instructions_ + max_instructions;
   while (true) {
@@ -842,27 +564,7 @@ Exit Vcpu::run(u64 max_instructions) {
       end_block(regs_.pc);
       return {ExitReason::kInstructionLimit, regs_.pc};
     }
-    // The snapshot all three tiers charge TLB walks against; taken before
-    // run_traced so a declined dispatch's entry translation is charged once,
-    // by whichever tier executes the instruction. run_traced maintains it
-    // across chained dispatches, and the kNone fall-through below hands the
-    // maintained value straight to step() — re-snapshotting here would hide
-    // a chained dispatch's uncharged entry-probe miss.
-    u64 misses_before = machine_->mmu().stats().tlb_misses;
-    // Trace dispatch is gated off under a TraceSink: the profiler needs the
-    // per-block on_block callbacks that only the step path produces.
-    if (block_cache_enabled_ && trace_cache_enabled_ && trace_ == nullptr) {
-      bool dispatched = false;
-      Exit exit = run_traced(budget_end, &misses_before, &dispatched);
-      if (dispatched) {
-        if (exit.reason != ExitReason::kNone) return exit;
-        if (instructions_ >= budget_end) {
-          end_block(regs_.pc);
-          return {ExitReason::kInstructionLimit, regs_.pc};
-        }
-      }
-    }
-    Exit exit = step(misses_before);
+    Exit exit = step();
     if (exit.reason != ExitReason::kNone) return exit;
     if (block_cache_enabled_ && instructions_ < budget_end) {
       exit = run_cached_tail(budget_end);

@@ -13,15 +13,14 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "isa/isa.hpp"
 #include "mem/machine.hpp"
 #include "vcpu/block_cache.hpp"
+#include "vcpu/op_table.hpp"
 #include "vcpu/perf_model.hpp"
-#include "vcpu/trace_cache.hpp"
 
 namespace fc::cpu {
 
@@ -95,15 +94,13 @@ class TraceSink {
 /// obs::kSampleTier*; the vCPU layer cannot depend on obs).
 inline constexpr u8 kTierInterp = 0;
 inline constexpr u8 kTierBlock = 1;
-inline constexpr u8 kTierTrace = 2;
 
-/// Cycle-driven sampling observer (the telemetry plane's hook). Unlike
-/// TraceSink it never gates the trace tier off and never perturbs
-/// architectural state or simulated time: a sample is a pure read of
-/// (cycles, pc, tier), fired at the first retire/guard boundary at or after
-/// each multiple of the sample period. Because the trigger is the simulated
-/// cycle counter, the sample sequence is byte-identical across runs, hosts
-/// and fleet jobs counts.
+/// Cycle-driven sampling observer (the telemetry plane's hook). It never
+/// perturbs architectural state or simulated time: a sample is a pure read
+/// of (cycles, pc, tier), fired after the instruction whose retirement
+/// reaches each multiple of the sample period. Because the trigger is the
+/// simulated cycle counter, the sample sequence is byte-identical across
+/// runs, hosts and fleet jobs counts.
 class SampleSink {
  public:
   virtual ~SampleSink() = default;
@@ -113,21 +110,27 @@ class SampleSink {
   virtual void on_sample(Cycles now, GVirt pc, u8 tier, u64 periods) = 0;
 };
 
+/// Stand-in for the removed trace tier: the frozen host-time benchmark
+/// (hostbench/) still reads these counters, which are always zero. Nothing in
+/// the simulator reads them.
+struct TraceCache {
+  struct Stats {
+    u64 trace_insns = 0, built = 0, dispatched = 0, side_exits = 0;
+  };
+  Stats stats() const { return {}; }
+};
+
 class Vcpu {
  public:
   /// `memo`: the decode memo the block cache builds through (not owned;
   /// nullptr gives the vCPU a private one).
   explicit Vcpu(mem::Machine& machine, DecodeMemo* memo = nullptr)
       : machine_(&machine), block_cache_(memo) {
-    // Register both execution caches on the code write barrier so any byte
-    // change in a frame they cached decodes/traces from invalidates them.
+    // Register the block cache on the code write barrier so any byte change
+    // in a frame it cached decodes from invalidates them.
     machine_->host().add_code_write_sink(&block_cache_);
-    machine_->host().add_code_write_sink(&trace_cache_);
   }
-  ~Vcpu() {
-    machine_->host().remove_code_write_sink(&block_cache_);
-    machine_->host().remove_code_write_sink(&trace_cache_);
-  }
+  ~Vcpu() { machine_->host().remove_code_write_sink(&block_cache_); }
   Vcpu(const Vcpu&) = delete;
   Vcpu& operator=(const Vcpu&) = delete;
 
@@ -170,23 +173,8 @@ class Vcpu {
   BlockCache& block_cache() { return block_cache_; }
   const BlockCache& block_cache() const { return block_cache_; }
 
-  /// The superblock/trace tier (on by default; only dispatches when the
-  /// block cache is also enabled, since traces are stitched from its
-  /// decoded blocks). Disabling drops every trace — the `--no-trace-cache`
-  /// ablation baseline.
-  void set_trace_cache_enabled(bool on) {
-    if (!on) trace_cache_.clear();
-    trace_cache_enabled_ = on;
-  }
-  bool trace_cache_enabled() const { return trace_cache_enabled_; }
-  /// Block heat (taken-branch entries) required before promotion to a
-  /// trace; 1 forces every block hot (the lockstep parity configuration).
-  void set_trace_hot_threshold(u32 threshold) {
-    trace_hot_threshold_ = threshold < 1 ? 1 : threshold;
-  }
-  u32 trace_hot_threshold() const { return trace_hot_threshold_; }
-  TraceCache& trace_cache() { return trace_cache_; }
-  const TraceCache& trace_cache() const { return trace_cache_; }
+  /// Always-zero trace-tier counters (see TraceCache).
+  TraceCache trace_cache() const { return {}; }
 
   /// Simulated time.
   Cycles cycles() const { return cycles_; }
@@ -242,12 +230,9 @@ class Vcpu {
   bool deliver_interrupt(u8 vector, bool hardware);
 
  private:
-  /// Exactly one instruction (or pending-IRQ delivery). `misses_before` is
-  /// the caller's TLB-miss snapshot from before any translation this
-  /// dispatch attempt performed (run() takes it ahead of run_traced, so an
-  /// entry-translate miss from a declined trace dispatch is charged exactly
-  /// once, here).
-  Exit step(u64 misses_before);
+  /// Exactly one instruction (or pending-IRQ delivery), charging the TLB
+  /// walks its fetch and execution take.
+  Exit step();
   /// Execute one already-fetched instruction: trace-block bookkeeping, the
   /// lowered op through the shared semantic helpers, and retire() against
   /// `misses_before`. UD2 / privilege traps return without retiring.
@@ -265,49 +250,18 @@ class Vcpu {
   /// runs through exec_insn.
   Exit run_cached_tail(u64 budget_end);
   /// The run of simple ops at the head of `run` (the cursor's rest of the
-  /// block, whose first op is simple and already guarded) as one batch. It
-  /// stops before any op in the page-tail region, at a breakpoint or at the
-  /// armed suppress-once, and at the first non-simple op, on top of
-  /// run_simple_batch's budget and cycle bounds, then fires the sample the
-  /// last op's retirement reached, as per-op execution would have.
+  /// block, whose first op is simple and already guarded) as one batch: one
+  /// retire for all of them, then the sample the last op's retirement
+  /// reached, as per-op execution would have. It stops at the budget, right
+  /// after the op whose retirement reaches the next sample or deferred-IRQ
+  /// release, before any op in the page-tail region, at a breakpoint or the
+  /// armed suppress-once, and at the first non-simple op. Simple ops cannot
+  /// move any other guard input (see UOp), so nothing else needs a per-op
+  /// check.
   void run_block_batch(std::span<const isa::Instruction> run, u64 budget_end);
-  /// The one simple-batch executor of both cached tiers. Callers have budget
-  /// left (instructions_ < budget_end), so `limit` >= 1. `exec(limit)` runs
-  /// between 1 and `limit` straight-line simple ops and returns how many it
-  /// ran; they retire as one batch against `miss_base` (updated like
-  /// retire's return). `limit` stops the batch where per-op execution would
-  /// have left its loop on the budget, or right after the op whose
-  /// retirement reaches batch_until(). Simple ops cannot move any other
-  /// guard input (see UOp), so nothing else needs a per-op check.
-  template <class Exec>
-  u64 run_simple_batch(u64 budget_end, u64& miss_base, Exec&& exec);
-  /// The cycle count at which a per-op boundary has work to do: the next
-  /// sample, or the deferred-IRQ release when one is parked.
-  Cycles batch_until() const {
-    return deferred_irqs_ != 0 ? std::min(irq_release_at_, sample_at_)
-                               : sample_at_;
-  }
-  /// Trace-tier dispatch at regs_.pc, chaining trace-to-trace as long as
-  /// each landing pc heads another valid trace. Sets *dispatched when it
-  /// either ran a trace (the returned Exit is authoritative, kNone meaning
-  /// "hand the current pc to step()") or produced a definitive exit itself
-  /// (entry fetch fault); leaves it false when the block tier should handle
-  /// this pc — including after promoting a newly-hot block, which
-  /// dispatches on the next visit. *misses_io is the TLB-miss baseline the
-  /// next retired instruction charges walks against: on entry the caller's
-  /// pre-translate snapshot, updated here whenever earlier misses have all
-  /// been charged (chain points, side exits past the first op) — run()
-  /// must pass the updated value to step() unchanged, so probe misses from
-  /// a declined chain dispatch are charged exactly once.
-  Exit run_traced(u64 budget_end, u64* misses_io, bool* dispatched);
-  /// Run one validated trace from its entry. Returns nothing when execution
-  /// left the micro-op array with regs_.pc materialised (completion or
-  /// prediction exit: run_traced may chain), else the Exit run_traced
-  /// returns. `base` is the walk-charge baseline (see retire).
-  std::optional<Exit> run_trace(const Trace& tr, u64 budget_end, u64& base);
 
-  // --- instruction semantics: one definition for every tier ---------------
-  // (Forced inline: they sit on every tier's per-instruction path.)
+  // --- instruction semantics: one definition for both tiers ---------------
+  // (Forced inline: they sit on every per-instruction path.)
   /// nop, the moves and the ALU (add, sub, xor, or, cmp; register or
   /// immediate source), including the ZF rule.
   [[gnu::always_inline]] inline void exec_simple(UOp kind, u8 r1, u8 r2,
@@ -328,22 +282,11 @@ class Vcpu {
   [[gnu::always_inline]] inline u64 retire(u32 cost, u64 miss_baseline,
                                            u64 count = 1);
 
-  /// Translation and code state a cached tier's skipped work relies on.
-  struct Versions {
-    u64 fill = 0;   // Mmu::fill_version
-    u64 ept = 0;    // Ept::generation
-    u64 epoch = 0;  // TraceCache::write_epoch
-    bool operator==(const Versions&) const = default;
-  };
-  Versions versions() {
-    return {machine_->mmu().fill_version(), machine_->mmu().ept().generation(),
-            trace_cache_.write_epoch()};
-  }
-  /// The one bail predicate of the cached tiers, checked before an
-  /// instruction at `pc`: an IRQ due or deliverable, a breakpoint or armed
-  /// suppress-once, translation drift or a code write since `since`.
-  /// Returns the TraceCache::SideExit reason, or 0.
-  [[gnu::always_inline]] inline u8 guard(GVirt pc, const Versions& since);
+  /// The block-tail loop's bail predicate, checked before an instruction at
+  /// `pc`: an IRQ due or deliverable, a breakpoint or armed suppress-once,
+  /// or translation drift since the last cached_fetch. Code writes are the
+  /// cursor's own generation compare.
+  [[gnu::always_inline]] inline bool guard(GVirt pc);
   /// Resolve the instruction at regs_.pc through the block cache. Returns
   /// nullptr in `insn` when the slow fetch+decode path must run; sets
   /// `fetch_fault` when the pc's page is unmapped (a definitive exit).
@@ -383,9 +326,6 @@ class Vcpu {
 
   BlockCache block_cache_;
   bool block_cache_enabled_ = true;
-  TraceCache trace_cache_;
-  bool trace_cache_enabled_ = true;
-  u32 trace_hot_threshold_ = TraceCache::kDefaultHotThreshold;
   // Translation-state snapshot from the last cached_fetch(): while the
   // MMU's fill version and the EPT generation are unchanged, the code
   // page's translation is guaranteed to still hit (see Mmu::fill_version),

@@ -2,8 +2,9 @@
 // uncached interpreter, self-modifying-code invalidation through the
 // HostMemory write barrier (a guest store over a cached block must be
 // observed on the very next step), code-load invalidation (the recovery
-// path rewriting UD2 filler), and a harness-level store over a recovered
-// function body under a live view. The DecodeMemo tests pin the content
+// path rewriting UD2 filler), EPT view repoints mid-run (no flush, and the
+// original blocks revive on switch-back), and a harness-level store over a
+// recovered function body under a live view. The DecodeMemo tests pin the content
 // memo's soundness: which byte range a hit is verified over (RET-, UD2-,
 // cap-, page-end- and failure-ended blocks), that a hit is accounted exactly
 // like a fresh decode, eviction at the cap, SMC and recovery rewrites over
@@ -65,9 +66,6 @@ class BlockCacheFixture : public ::testing::Test {
 };
 
 TEST_F(BlockCacheFixture, HotLoopIsServedFromDecodedBlocks) {
-  // Pin execution to the block tier: with tracing on, the hot loop would be
-  // promoted after a few iterations and insn_hits would stop growing.
-  g_.vcpu.set_trace_cache_enabled(false);
   Assembler a;
   a.mov_imm(Reg::A, 200);
   auto loop = a.make_label();
@@ -188,6 +186,75 @@ TEST_F(BlockCacheFixture, DisablingDropsResidentBlocks) {
   EXPECT_EQ(g_.vcpu.block_cache().size(), 0u);
 }
 
+/// A countdown loop: A starts at `iters`, the body adds `step` to D each
+/// pass. Identical layout for any `step`, so another frame holding it with a
+/// different step swaps semantics without moving a single branch target.
+Assembler countdown_loop(u32 iters, u32 step) {
+  Assembler a;
+  a.mov_imm(Reg::A, iters);
+  a.mov_imm(Reg::B, 1);
+  a.mov_imm(Reg::D, 0);
+  auto head = a.make_label();
+  a.bind(head);
+  for (u32 i = 0; i < step; ++i) a.add(Reg::D, Reg::B);
+  a.sub(Reg::A, Reg::B);
+  a.jnz(head);
+  a.hlt();
+  return a;
+}
+
+// FACE-CHANGE's no-flush property: repointing the EPT to another view's
+// frame mid-run swings the very next fetch to that frame's blocks (post-EPT
+// keying: nothing to invalidate, nothing to flush), and switching back
+// serves the original blocks without a rebuild.
+TEST_F(BlockCacheFixture, ViewRepointMidRunSwitchesBlocksWithoutFlush) {
+  // The alternate view's frame holds the same loop with a doubled step.
+  // Filled before any repoint, while the EPT still maps it identity.
+  constexpr GPhys kAltPa = 0x40000;
+  const auto alt_frame = *g_.machine.ept().translate(kAltPa);
+  {
+    Assembler alt = countdown_loop(60, 2);
+    g_.machine.pwrite_bytes(kAltPa, alt.finish(kCodeVa));
+  }
+  Assembler base = countdown_loop(60, 1);
+  g_.load(base);
+  EXPECT_EQ(g_.run().reason, ExitReason::kHalt);  // decode every block once
+  g_.vcpu.regs().pc = kCodeVa;
+
+  // 3 prologue instructions + 20 iterations x 3 = budget 63 stops exactly
+  // at the loop head, mid-run, with D == 20.
+  EXPECT_EQ(g_.run(63).reason, ExitReason::kInstructionLimit);
+  EXPECT_EQ(g_.vcpu.regs()[Reg::D], 20u);
+  const BlockCache::Stats& stats = g_.vcpu.block_cache().stats();
+  const u64 built_before = stats.blocks_built;
+  auto invalidations = [&stats] {
+    return stats.inval_guest_write + stats.inval_code_load +
+           stats.inval_recycle + stats.inval_capacity;
+  };
+  const u64 invalidated_before = invalidations();
+
+  // Repoint the code page to the alternate view's frame (what the engine's
+  // view switch does) and resume mid-loop.
+  g_.machine.ept().map(mem::GuestLayout::kernel_pa(kCodeVa), alt_frame);
+  g_.machine.ept().invalidate();
+  EXPECT_EQ(g_.run().reason, ExitReason::kHalt);
+  // 40 remaining iterations ran the alternate bytes: D = 20 + 40 * 2.
+  EXPECT_EQ(g_.vcpu.regs()[Reg::D], 100u);
+  EXPECT_GT(stats.blocks_built, built_before);  // the new frame's blocks
+  EXPECT_EQ(invalidations(), invalidated_before);
+  const u64 built_after_switch = stats.blocks_built;
+
+  // Switch back: the original frame's blocks are served as they are.
+  g_.machine.ept().map(mem::GuestLayout::kernel_pa(kCodeVa),
+                       mem::GuestLayout::kernel_pa(kCodeVa) / kPageSize);
+  g_.machine.ept().invalidate();
+  g_.vcpu.regs().pc = kCodeVa;
+  EXPECT_EQ(g_.run().reason, ExitReason::kHalt);
+  EXPECT_EQ(g_.vcpu.regs()[Reg::D], 60u);  // original single-step semantics
+  EXPECT_EQ(stats.blocks_built, built_after_switch);
+  EXPECT_EQ(invalidations(), invalidated_before);
+}
+
 // ---------------------------------------------------------------------------
 // DecodeMemo: content-keyed, byte-verified decode sharing.
 // ---------------------------------------------------------------------------
@@ -200,15 +267,16 @@ HostFrame frame_with(mem::HostMemory& host, u32 offset,
   return f;
 }
 
-/// Build (or find) the block at (frame, offset) and return a copy of it (a
-/// later build may move the arena; the copy co-owns its run).
-DecodedBlock block_at(BlockCache& cache, mem::HostMemory& host,
-                      HostFrame frame, u32 offset) {
+/// Build (or find) the block at (frame, offset) and return its instructions
+/// (the arena entry co-owns their run until the next clear).
+std::span<const isa::Instruction> block_at(BlockCache& cache,
+                                           mem::HostMemory& host,
+                                           HostFrame frame, u32 offset) {
   cache.fetch(host, frame, offset, kCodeVa + offset);
-  cache.drop_cursor();
-  const DecodedBlock* block = cache.peek(frame, offset);
-  EXPECT_NE(block, nullptr);
-  return block == nullptr ? DecodedBlock{} : *block;
+  const std::span<const isa::Instruction> block =
+      cache.cursor_run(kCodeVa + offset);
+  EXPECT_FALSE(block.empty());
+  return block;
 }
 
 TEST(DecodeMemo, IdenticalFramesShareOneRunAndCountAsBuilds) {
@@ -225,7 +293,7 @@ TEST(DecodeMemo, IdenticalFramesShareOneRunAndCountAsBuilds) {
   EXPECT_EQ(fb.insns_decoded, 3u);  // a hit is still charged as a build
   EXPECT_EQ(cache.stats().blocks_built, 2u);
   EXPECT_EQ(cache.stats().insns_decoded, 6u);
-  EXPECT_EQ(cache.peek(a, 64)->insns.data(), cache.peek(b, 64)->insns.data());
+  EXPECT_EQ(fa.insn, fb.insn);  // both blocks' instructions are one run's
   const DecodeMemo::Stats ms = memo.stats();
   EXPECT_EQ(ms.lookups, 2u);
   EXPECT_EQ(ms.hits, 1u);
@@ -292,10 +360,10 @@ TEST(DecodeMemo, FailureEndedBlockIsVerifiedPastTheFailure) {
   };
   const HostFrame bad = frame_with(host, 0, code(0x00));
   const HostFrame good = frame_with(host, 0, code(0x85));
-  EXPECT_EQ(block_at(cache, host, bad, 0).insns.size(), 16u);
-  const DecodedBlock b = block_at(cache, host, good, 0);
-  ASSERT_EQ(b.insns.size(), 17u);
-  EXPECT_EQ(b.insns[16].op, isa::Op::kCallTab);
+  EXPECT_EQ(block_at(cache, host, bad, 0).size(), 16u);
+  const std::span<const isa::Instruction> b = block_at(cache, host, good, 0);
+  ASSERT_EQ(b.size(), 17u);
+  EXPECT_EQ(b[16].op, isa::Op::kCallTab);
   EXPECT_EQ(memo.stats().hits, 0u);
 
   // The same rewrite in place: the frame's generation retires the short
@@ -304,10 +372,10 @@ TEST(DecodeMemo, FailureEndedBlockIsVerifiedPastTheFailure) {
   BlockCache cache2(&memo);
   host2.add_code_write_sink(&cache2);
   const HostFrame f = frame_with(host2, 0, code(0x00));
-  EXPECT_EQ(block_at(cache2, host2, f, 0).insns.size(), 16u);  // memo hit
+  EXPECT_EQ(block_at(cache2, host2, f, 0).size(), 16u);  // memo hit
   EXPECT_EQ(memo.stats().hits, 1u);
   host2.write8(f, 18, 0x85);
-  EXPECT_EQ(block_at(cache2, host2, f, 0).insns.size(), 17u);
+  EXPECT_EQ(block_at(cache2, host2, f, 0).size(), 17u);
   host2.remove_code_write_sink(&cache2);
 }
 
@@ -322,14 +390,14 @@ TEST(DecodeMemo, BytesAfterTheBlockEndDoNotDefeatAHit) {
       frame_with(host, 8, {0x90, 0xC3, 0x0F, 0x0B, 0x0F, 0x0B, 0x0F, 0x0B});
   const HostFrame code =
       frame_with(host, 8, {0x90, 0xC3, 0xB8, 1, 0, 0, 0, 0xC3});
-  EXPECT_EQ(block_at(cache, host, filled, 8).insns.size(), 2u);
-  EXPECT_EQ(block_at(cache, host, code, 8).insns.size(), 2u);
+  EXPECT_EQ(block_at(cache, host, filled, 8).size(), 2u);
+  EXPECT_EQ(block_at(cache, host, code, 8).size(), 2u);
   EXPECT_EQ(memo.stats().hits, 1u);
 
   const HostFrame ud2_then_fill = frame_with(host, 8, {0x0F, 0x0B, 0x0F, 0x0B});
   const HostFrame ud2_then_code = frame_with(host, 8, {0x0F, 0x0B, 0x90, 0xC3});
-  EXPECT_EQ(block_at(cache, host, ud2_then_fill, 8).insns.size(), 1u);
-  EXPECT_EQ(block_at(cache, host, ud2_then_code, 8).insns.size(), 1u);
+  EXPECT_EQ(block_at(cache, host, ud2_then_fill, 8).size(), 1u);
+  EXPECT_EQ(block_at(cache, host, ud2_then_code, 8).size(), 1u);
   EXPECT_EQ(memo.stats().hits, 2u);
 }
 
@@ -344,12 +412,12 @@ TEST(DecodeMemo, CapEndedBlockCoversExactlyItsInstructions) {
   const HostFrame b = frame_with(host, 0, nops);
   nops[cap - 1] = 0xC3;  // last byte inside the block
   const HostFrame c = frame_with(host, 0, nops);
-  EXPECT_EQ(block_at(cache, host, a, 0).insns.size(), cap);
-  EXPECT_EQ(block_at(cache, host, b, 0).insns.size(), cap);
+  EXPECT_EQ(block_at(cache, host, a, 0).size(), cap);
+  EXPECT_EQ(block_at(cache, host, b, 0).size(), cap);
   EXPECT_EQ(memo.stats().hits, 1u);
-  const DecodedBlock shorter = block_at(cache, host, c, 0);
-  EXPECT_EQ(shorter.insns.size(), cap);
-  EXPECT_EQ(shorter.insns.back().op, isa::Op::kRet);
+  const std::span<const isa::Instruction> shorter = block_at(cache, host, c, 0);
+  EXPECT_EQ(shorter.size(), cap);
+  EXPECT_EQ(shorter.back().op, isa::Op::kRet);
   EXPECT_EQ(memo.stats().hits, 1u);
 }
 
@@ -362,17 +430,17 @@ TEST(DecodeMemo, PageEndTruncationIsVerifiedToThePageEnd) {
   const HostFrame a = frame_with(host, kOff, {0x90, 0x90, 0x90, 0xB8, 1, 2});
   const HostFrame b = frame_with(host, kOff, {0x90, 0x90, 0x90, 0xB8, 1, 2});
   const HostFrame c = frame_with(host, kOff, {0x90, 0x90, 0x90, 0xB8, 1, 3});
-  EXPECT_EQ(block_at(cache, host, a, kOff).insns.size(), 3u);
-  EXPECT_EQ(block_at(cache, host, b, kOff).insns.size(), 3u);
+  EXPECT_EQ(block_at(cache, host, a, kOff).size(), 3u);
+  EXPECT_EQ(block_at(cache, host, b, kOff).size(), 3u);
   EXPECT_EQ(memo.stats().hits, 1u);
-  EXPECT_EQ(block_at(cache, host, c, kOff).insns.size(), 3u);
+  EXPECT_EQ(block_at(cache, host, c, kOff).size(), 3u);
   EXPECT_EQ(memo.stats().hits, 1u);  // the last page byte differs: a miss
 
   // Running exactly into the page end.
   const HostFrame d = frame_with(host, kPageSize - 4, {0x90, 0x90, 0x90, 0x90});
   const HostFrame e = frame_with(host, kPageSize - 4, {0x90, 0x90, 0x90, 0x90});
-  EXPECT_EQ(block_at(cache, host, d, kPageSize - 4).insns.size(), 4u);
-  EXPECT_EQ(block_at(cache, host, e, kPageSize - 4).insns.size(), 4u);
+  EXPECT_EQ(block_at(cache, host, d, kPageSize - 4).size(), 4u);
+  EXPECT_EQ(block_at(cache, host, e, kPageSize - 4).size(), 4u);
   EXPECT_EQ(memo.stats().hits, 2u);
 }
 
@@ -387,7 +455,7 @@ TEST(DecodeMemo, FillingPastTheCapKeepsHeldRunsAlive) {
   bytes[0] = 0xB8;  // mov A, 0 (imm at 1..4), then NOPs to the cap
   std::fill(bytes.begin() + 1, bytes.begin() + 5, 0);
   const HostFrame held = frame_with(host, 0, bytes);
-  ASSERT_EQ(block_at(cache, host, held, 0).insns[0].imm, 0u);
+  ASSERT_EQ(block_at(cache, host, held, 0)[0].imm, 0u);
 
   const HostFrame scratch = frame_with(host, 0, bytes);
   const u32 runs = 2 * DecodeMemo::kMaxResidentInsns / cap;
@@ -430,11 +498,12 @@ TEST(DecodeMemo, StoreBackedRunsAreNotCopied) {
   DecodeMemo memo(&store);
   BlockCache cache(&memo);
   const HostFrame shared = host.adopt_shared(id);
-  const DecodedBlock block = block_at(cache, host, shared, 32);
-  EXPECT_EQ(block.run->bytes, store.page_data(id) + 32);
+  const std::span<const isa::Instruction> block =
+      block_at(cache, host, shared, 32);
+  EXPECT_EQ(memo.decode(host, shared, 32)->bytes, store.page_data(id) + 32);
   EXPECT_EQ(memo.stats().copied_bytes, 0u);
   const HostFrame priv = frame_with(host, 32, code);
-  EXPECT_EQ(block_at(cache, host, priv, 32).run, block.run);
+  EXPECT_EQ(block_at(cache, host, priv, 32).data(), block.data());
   EXPECT_EQ(memo.stats().copied_bytes, 0u);
 
   // A memo without the store copies even store-backed sources.
@@ -536,11 +605,9 @@ TEST(DecodeMemo, ConcurrentBuildsThroughOneMemo) {
         code.push_back(0xC3);
         const HostFrame f = frame_with(host, 128, code);
         cache.fetch(host, f, 128, kCodeVa);
-        cache.drop_cursor();
-        const DecodedBlock* block = cache.peek(f, 128);
-        if (block == nullptr || block->insns.size() != 18 ||
-            block->insns[16].imm != imm)
-          ++wrong[tid];
+        const std::span<const isa::Instruction> block =
+            cache.cursor_run(kCodeVa);
+        if (block.size() != 18 || block[16].imm != imm) ++wrong[tid];
       }
     }
   };
@@ -619,7 +686,6 @@ TEST(BlockCacheRecovery, StoreOverRecoveredFunctionBodyIsObserved) {
   ASSERT_NE(after.insn, nullptr);
   EXPECT_GT(after.insns_decoded, 0u);  // rebuilt, not served stale
   EXPECT_EQ(after.insn->op, isa::Op::kUd2);
-  cache.drop_cursor();
 
   // The run keeps making progress: executing the clobbered body traps on
   // the new bytes and recovery restores it again.

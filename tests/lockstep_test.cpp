@@ -13,16 +13,9 @@
 namespace fc {
 namespace {
 
-enum class Tier { kUncached, kBlockOnly, kTrace };
-
 struct LockstepGuest {
-  explicit LockstepGuest(Tier tier) {
-    sys.vcpu().set_block_cache_enabled(tier != Tier::kUncached);
-    sys.vcpu().set_trace_cache_enabled(tier == Tier::kTrace);
-    // Promote every block on its first taken branch: maximises trace
-    // coverage, so the lockstep sweep exercises the dispatcher (and its
-    // side exits) on every app rather than only the hottest loops.
-    if (tier == Tier::kTrace) sys.vcpu().set_trace_hot_threshold(1);
+  explicit LockstepGuest(bool block_cache) {
+    sys.vcpu().set_block_cache_enabled(block_cache);
     engine = std::make_unique<core::FaceChangeEngine>(sys.hv(),
                                                       sys.os().kernel());
     engine->enable();
@@ -44,7 +37,7 @@ struct LockstepGuest {
 
 /// Step both guests to completion, asserting equality after every step.
 void run_lockstep(LockstepGuest& cached, LockstepGuest& plain,
-                  Cycles max_cycles, Tier cached_tier = Tier::kBlockOnly) {
+                  Cycles max_cycles) {
   ASSERT_EQ(cached.pid, plain.pid);
   u64 steps = 0;
   std::optional<hv::RunOutcome> oc, op;
@@ -77,25 +70,19 @@ void run_lockstep(LockstepGuest& cached, LockstepGuest& plain,
         cached.sys.os().task_zombie_or_dead(cached.pid))
       break;
   }
-  // The workload actually ran to completion on both sides, and the tier
-  // under test actually carried execution.
+  // The workload actually ran to completion on both sides, and the block
+  // tier actually carried execution.
   EXPECT_TRUE(cached.sys.os().task_zombie_or_dead(cached.pid));
   EXPECT_TRUE(plain.sys.os().task_zombie_or_dead(plain.pid));
   EXPECT_EQ(plain.sys.vcpu().block_cache().stats().insn_hits, 0u);
-  if (cached_tier == Tier::kTrace) {
-    EXPECT_GT(cached.sys.vcpu().trace_cache().stats().dispatched, 0u);
-    EXPECT_GT(cached.sys.vcpu().trace_cache().stats().trace_insns, 1000u);
-  } else {
-    EXPECT_GT(cached.sys.vcpu().block_cache().stats().insn_hits, 1000u);
-    EXPECT_EQ(cached.sys.vcpu().trace_cache().stats().dispatched, 0u);
-  }
+  EXPECT_GT(cached.sys.vcpu().block_cache().stats().insn_hits, 1000u);
 }
 
 class LockstepEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LockstepEquivalence, CachedAndUncachedVcpusNeverDiverge) {
-  LockstepGuest cached(Tier::kBlockOnly);
-  LockstepGuest plain(Tier::kUncached);
+  LockstepGuest cached(/*block_cache=*/true);
+  LockstepGuest plain(/*block_cache=*/false);
   cached.start(GetParam(), GetParam(), 6);
   plain.start(GetParam(), GetParam(), 6);
   run_lockstep(cached, plain, 900'000'000);
@@ -107,53 +94,17 @@ INSTANTIATE_TEST_SUITE_P(Apps, LockstepEquivalence,
                            return param_info.param;
                          });
 
-// The trace tier against the uncached interpreter, hot threshold 1 so
-// essentially every loop is promoted and dispatched. Per-step equality of
-// registers, cycles and TLB-miss counts is the strongest form of the
-// tiering contract: every hoisted check, fused pair, batched segment and
-// side exit must be invisible to the architecture and the perf model.
-class TraceLockstepEquivalence : public ::testing::TestWithParam<std::string> {
-};
-
-TEST_P(TraceLockstepEquivalence, TraceTierAndUncachedVcpusNeverDiverge) {
-  LockstepGuest traced(Tier::kTrace);
-  LockstepGuest plain(Tier::kUncached);
-  traced.start(GetParam(), GetParam(), 6);
-  plain.start(GetParam(), GetParam(), 6);
-  run_lockstep(traced, plain, 900'000'000, Tier::kTrace);
-}
-
-INSTANTIATE_TEST_SUITE_P(Apps, TraceLockstepEquivalence,
-                         ::testing::ValuesIn(apps::all_app_names()),
-                         [](const auto& param_info) {
-                           return param_info.param;
-                         });
-
 // The hostile path: a mismatched view forces UD2 traps, recoveries (code
 // rewrites through the write barrier), and instant-recovery checks — the
 // cache must stay byte-equivalent through all of it.
 TEST(LockstepEquivalence2, RecoveryHeavyRunNeverDiverges) {
-  LockstepGuest cached(Tier::kBlockOnly);
-  LockstepGuest plain(Tier::kUncached);
+  LockstepGuest cached(/*block_cache=*/true);
+  LockstepGuest plain(/*block_cache=*/false);
   cached.start("intruder", "top", 4);
   plain.start("intruder", "top", 4);
   run_lockstep(cached, plain, 600'000'000);
   EXPECT_GT(cached.engine->recovery_log().size(), 0u);
   EXPECT_EQ(cached.engine->recovery_log().size(),
-            plain.engine->recovery_log().size());
-}
-
-// Same hostile path at the trace tier: recoveries rewrite code frames that
-// may hold live traces, so the write barrier's trace retirement is on the
-// critical path of every step.
-TEST(LockstepEquivalence2, TraceTierRecoveryHeavyRunNeverDiverges) {
-  LockstepGuest traced(Tier::kTrace);
-  LockstepGuest plain(Tier::kUncached);
-  traced.start("intruder", "top", 4);
-  plain.start("intruder", "top", 4);
-  run_lockstep(traced, plain, 600'000'000, Tier::kTrace);
-  EXPECT_GT(traced.engine->recovery_log().size(), 0u);
-  EXPECT_EQ(traced.engine->recovery_log().size(),
             plain.engine->recovery_log().size());
 }
 

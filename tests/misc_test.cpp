@@ -5,8 +5,10 @@
 
 #include "core/behavior.hpp"
 #include "core/similarity.hpp"
+#include "fleet/fleet.hpp"
 #include "harness/harness.hpp"
 #include "hv/event_queue.hpp"
+#include "support/cli.hpp"
 #include "support/hexdump.hpp"
 
 namespace fc {
@@ -90,6 +92,39 @@ TEST(Support, HexFormattersMatchThePapersStyle) {
 TEST(Support, StableHashIsStable) {
   EXPECT_EQ(stable_hash("schedule"), stable_hash("schedule"));
   EXPECT_NE(stable_hash("schedule"), stable_hash("schedulf"));
+}
+
+TEST(Support, CountParserTakesOnlyWholeDecimalNumbersInRange) {
+  EXPECT_EQ(parse_count("12", 1, 100), 12u);
+  EXPECT_EQ(parse_count("0", 0, 5), 0u);
+  EXPECT_EQ(parse_count("007", 0, 10), 7u);
+  EXPECT_EQ(parse_count("4096", 1, 4096), 4096u);
+  EXPECT_EQ(parse_count("18446744073709551615", 0, ~0ull), ~0ull);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "12x", "x12", "1.5",
+                          "0x10", "1e3", "18446744073709551616",
+                          "99999999999999999999999"})
+    EXPECT_FALSE(parse_count(bad, 0, ~0ull).has_value()) << "'" << bad << "'";
+  EXPECT_FALSE(parse_count("0", 1, 100).has_value());     // below range
+  EXPECT_FALSE(parse_count("4097", 1, 4096).has_value());  // above range
+}
+
+TEST(FleetShape, CapsVmsAndResolvedWorkers) {
+  EXPECT_EQ(fleet::resolved_workers(8, 1), 1u);
+  EXPECT_EQ(fleet::resolved_workers(8, 4), 4u);
+  EXPECT_EQ(fleet::resolved_workers(8, 0), 8u);    // one per VM
+  EXPECT_EQ(fleet::resolved_workers(8, 64), 8u);   // never more than VMs
+  EXPECT_EQ(fleet::resolved_workers(0, 0), 1u);
+  EXPECT_TRUE(fleet::fleet_shape_error(1, 1).empty());
+  EXPECT_TRUE(fleet::fleet_shape_error(fleet::kMaxVms, 8).empty());
+  EXPECT_TRUE(fleet::fleet_shape_error(fleet::kMaxWorkers, 0).empty());
+  EXPECT_TRUE(fleet::fleet_shape_error(fleet::kMaxVms, fleet::kMaxWorkers)
+                  .empty());
+  EXPECT_FALSE(fleet::fleet_shape_error(0, 1).empty());
+  EXPECT_FALSE(fleet::fleet_shape_error(fleet::kMaxVms + 1, 1).empty());
+  // --jobs 0 asks for a worker per VM: past the worker cap it is rejected.
+  EXPECT_FALSE(fleet::fleet_shape_error(fleet::kMaxWorkers + 1, 0).empty());
+  EXPECT_FALSE(
+      fleet::fleet_shape_error(fleet::kMaxVms, fleet::kMaxWorkers + 1).empty());
 }
 
 TEST(Support, RngIsDeterministicAndBounded) {

@@ -1,21 +1,23 @@
-// Seeded random-program lockstep across the vCPU's three execution tiers.
+// Seeded random-program lockstep across the vCPU's two execution tiers.
 //
 // Each seed generates a guest program of straight-line runs, nested counted
 // loops, calls, software interrupts and hardware-IRQ handlers over every op
-// the trace tier lowers — including the ones no guest code in src/ emits
-// (rdtsc, add_imm_a, sub_imm_a), the leave/store_abs/memory-form-or micro-ops,
-// fused ALU+Jcc pairs of all eight ALU kinds, loads and stores that fault on
+// kOpTable lowers — including the ones no guest code in src/ emits (rdtsc,
+// add_imm_a, sub_imm_a), the leave/store_abs/memory-form-or micro-ops, ALU
+// ops of all eight kinds right before a Jcc, loads and stores that fault on
 // an unmapped page inside a hot loop, and self-modifying stores into the
-// running trace's own page. Three identical machines run it: uncached,
-// block-cache only, and the trace tier at hot threshold 1. They are stepped
-// one instruction at a time, and again in seeded random budgets (so fused
-// pairs and batched segments run whole), with IRQ edges, deferred IRQ
-// releases and breakpoints injected at the same architectural points. After
-// every step registers, flags, mode, cycles, retired instructions, TLB-miss
-// counts and the exit must match exactly. One case maps the code frames at a
-// second virtual address and, once the first mapping's traces are hot, runs
-// the program again through the second mapping: traces are keyed by (frame,
-// offset) but their micro-ops carry the first mapping's absolute addresses.
+// running block's own page. Three identical machines run it: uncached,
+// block-cache only, and the block tier stepped one instruction per run()
+// (no simple-op batches). They are stepped one instruction at a time, and
+// again in seeded random budgets (so batches run whole), with IRQ edges,
+// deferred IRQ releases and breakpoints injected at the same architectural
+// points. After every step registers, flags, mode, cycles, retired
+// instructions, TLB-miss counts, sampling streams and the exit must match
+// exactly, and the two block-tier guests must count the same insn_hits. One
+// case maps the code frames at a second virtual address and, once the first
+// mapping's blocks are built, runs the program again through the second
+// mapping: blocks are keyed by (frame, offset), so the second mapping
+// replays the first one's decodes at other addresses.
 //
 // The hazard variant adds FACE-CHANGE's two code shapes: functions loaded as
 // UD2 fill that trap on first call and are "recovered" (pristine bytes
@@ -25,16 +27,13 @@
 // through one DecodeMemo: on the rerun every block build is a memo hit, and
 // the per-step comparison must still hold.
 //
-// The block tier retires straight-line simple runs as one batch. Three
-// cases pin its bounds: loops whose straight-line body runs into the
-// page-tail region of a page whose next page is unmapped or TLB-cold; a
-// short-period sampling profiler on the uncached and block-only guests,
-// whose (cycles, pc, periods) streams must match; and the block tier
-// stepped one instruction per run() beside the batched one, whose
-// insn_hits must match.
+// The block tier retires straight-line simple runs as one batch. Two cases
+// pin its bounds: loops whose straight-line body runs into the page-tail
+// region of a page whose next page is unmapped or TLB-cold, and a
+// short-period sampling profiler on every guest, whose (cycles, pc,
+// periods) streams must match.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <map>
 #include <sstream>
 #include <string>
@@ -58,7 +57,7 @@ constexpr GVirt kCodePage = kKernelBase + 0x200000;
 constexpr GVirt kStackTop = kKernelBase + 0x180000;
 constexpr GVirt kDataVa = kKernelBase + 0x305000;  // DI points here
 // Shares the first code page's slot in the direct-mapped TLB: accesses here
-// evict the code translation mid-trace.
+// evict the code translation mid-block.
 constexpr GVirt kAliasVa = kCodePage + 512 * kPageSize;
 constexpr GVirt kIdt = kKernelBase + 0x310000;
 constexpr GVirt kEsp0 = kKernelBase + 0x310400;
@@ -122,7 +121,7 @@ class Generator {
     handler_ = a_.make_label();
 
     // The mandatory coverage loop: every op this test exists to reach, in a
-    // hot loop (so the trace tier lowers it), in seeded order.
+    // hot loop (so the block tier replays it), in seeded order.
     emit_loop(0, /*mandatory=*/true);
     const u32 constructs = rng_.between(6, 14);
     for (u32 i = 0; i < constructs; ++i) {
@@ -227,8 +226,8 @@ class Generator {
       jz ? a_.jz(target) : a_.jnz(target);
   }
 
-  /// ALU immediately followed by a forward Jcc over a few ops: the fusable
-  /// shape, with a data-dependent direction.
+  /// ALU immediately followed by a forward Jcc over a few ops, with a
+  /// data-dependent direction.
   void emit_fused_skip(Alu kind, Ctx ctx) {
     auto skip = a_.make_label();
     emit_alu(kind);
@@ -242,10 +241,10 @@ class Generator {
   /// A store whose target is picked by the loop counter through a per-site
   /// table: on one late pass (SI == k) it lands on the immediate of the
   /// mov_imm behind it, otherwise on a scratch word. The sequence is
-  /// straight-line, so the trace built on earlier passes is still valid when
-  /// the code write runs inside it. The loaded immediate is folded into the
-  /// witness slot [DI+124], so a stale one shows up in memory for the rest
-  /// of the run.
+  /// straight-line, so the block decoded on earlier passes is still the
+  /// cursor's when the code write runs inside it. The loaded immediate is
+  /// folded into the witness slot [DI+124], so a stale one shows up in
+  /// memory for the rest of the run.
   void emit_smc() {
     if (smc_sites_ == kMaxSmcSites) return;
     const GVirt table = kSmcTables + smc_sites_++ * 4 * kSmcTableWords;
@@ -370,8 +369,8 @@ class Generator {
     for (u32 i = 0; i < n; ++i) emit_simple(ctx);
   }
 
-  /// SI-counted loop, closed by one of several decrement shapes (fused and
-  /// unfused back edges).
+  /// SI-counted loop, closed by one of several decrement shapes (the ALU op
+  /// right before the back edge, or not).
   void emit_loop(int depth, bool mandatory, Ctx ctx = Ctx::kMain) {
     a_.mov_imm(Reg::SI, rng_.between(2, depth == 0 ? 24 : 8));
     auto head = a_.make_label();
@@ -414,8 +413,9 @@ class Generator {
       a_.jnz(head);
   }
 
-  /// SI -= 1 leaving ZF = (SI == 0), in shapes that fuse with the back edge
-  /// (sub, add, or, xor, cmp, cmp_imm_a) or not (sub_imm_a behind a mov).
+  /// SI -= 1 leaving ZF = (SI == 0), in shapes whose last op sets ZF right
+  /// before the back edge (sub, add, or, xor, cmp, cmp_imm_a) or not
+  /// (sub_imm_a behind a mov).
   void emit_decrement() {
     switch (rng_.below(6)) {
       case 0:
@@ -498,8 +498,8 @@ class Generator {
   u32 smc_sites_ = 0;
 };
 
-enum class Tier { kUncached, kBlockOnly, kTrace, kBlockStepped };
-constexpr const char* kTierName[] = {"uncached", "block-only", "trace",
+enum class Tier { kUncached, kBlockOnly, kBlockStepped };
+constexpr const char* kTierName[] = {"uncached", "block-only",
                                      "block-only stepped"};
 
 /// The sampling profiler's stream as a guest saw it. The tier each sample
@@ -534,8 +534,6 @@ struct Guest {
     vcpu.set_idt_base(kIdt);
     vcpu.set_kstack_ptr_addr(kEsp0);
     vcpu.set_block_cache_enabled(tier != Tier::kUncached);
-    vcpu.set_trace_cache_enabled(tier == Tier::kTrace);
-    if (tier == Tier::kTrace) vcpu.set_trace_hot_threshold(1);
     vcpu.set_sample_sink(&log, sample_period);  // period 0: detached
     mem::Mmu& mmu = machine.mmu();
     mmu.write32(kIdt + kIrqVector * 4u, p.irq_handler);
@@ -616,21 +614,19 @@ std::string state_diff(Guest& x, Guest& y) {
         static_cast<u64>(y.exit.reason));
   field("exit_pc", x.exit.pc, y.exit.pc);
   field("data_digest", data_digest(x), data_digest(y));
-  // The uncached and block tiers attribute a sample to the instruction
-  // whose retirement reached it; the trace tier to the boundary after.
-  if (x.tier != Tier::kTrace && y.tier != Tier::kTrace) {
-    const std::vector<SampleLog::Sample>& a = x.log.samples;
-    const std::vector<SampleLog::Sample>& b = y.log.samples;
-    std::size_t i = 0;
-    while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
-    if (i < a.size() && i < b.size()) {
-      out << "  sample #" << std::dec << i << std::hex << ": (cycles 0x"
-          << a[i].now << ", pc 0x" << a[i].pc << ", periods 0x"
-          << a[i].periods << ") vs (cycles 0x" << b[i].now << ", pc 0x"
-          << b[i].pc << ", periods 0x" << b[i].periods << ")\n";
-    } else {
-      field("samples", a.size(), b.size());
-    }
+  // Every tier attributes a sample to the instruction whose retirement
+  // reached it.
+  const std::vector<SampleLog::Sample>& a = x.log.samples;
+  const std::vector<SampleLog::Sample>& b = y.log.samples;
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  if (i < a.size() && i < b.size()) {
+    out << "  sample #" << std::dec << i << std::hex << ": (cycles 0x"
+        << a[i].now << ", pc 0x" << a[i].pc << ", periods 0x" << a[i].periods
+        << ") vs (cycles 0x" << b[i].now << ", pc 0x" << b[i].pc
+        << ", periods 0x" << b[i].periods << ")\n";
+  } else {
+    field("samples", a.size(), b.size());
   }
   // The block tier serves each instruction once, batched or not.
   if (x.block_tier_only() && y.block_tier_only())
@@ -639,24 +635,20 @@ std::string state_diff(Guest& x, Guest& y) {
   return out.str();
 }
 
+/// What the runs reached. The block counters are the block-only guest's.
 struct Coverage {
-  u64 dispatched = 0;
-  u64 trace_insns = 0;
-  u64 fused_exec = 0;
-  u64 side_exits = 0;
-  u64 trace_code_writes = 0;
   u64 faults = 0;
   u64 breakpoints = 0;
   u64 recoveries = 0;
-  u64 batch_insns = 0;  // block-only guest: instructions retired in batches
+  u64 insn_hits = 0;    // instructions served from decoded blocks
+  u64 batch_insns = 0;  // of those, retired in simple-op batches
+  u64 code_writes = 0;  // frames invalidated by a guest store (SMC)
+  u64 code_loads = 0;   // frames invalidated by a recovery rewrite
   u64 samples = 0;      // uncached guest: samples taken
 };
 
 /// How run_program drives a program.
 struct Drive {
-  /// The compared guests; the first is the reference.
-  std::array<Tier, 3> tiers = {Tier::kUncached, Tier::kBlockOnly,
-                               Tier::kTrace};
   /// Run to the halt a second time, entered through the code's second
   /// mapping.
   bool alias_code = false;
@@ -669,15 +661,16 @@ struct Drive {
 /// Run one program on three guests, in chunks of `max_chunk` (1 = per
 /// instruction) with seeded random chunk sizes above that, comparing the
 /// full state of each guest with the first after every chunk, and the
-/// block-only guests with each other. Returns false on divergence.
+/// block-tier guests with each other. Returns false on divergence.
 bool run_program(const Program& p, u64 seed, u32 max_chunk, Coverage* cov,
                  const Drive& drive) {
+  // The uncached guest is the reference.
   Guest g[3] = {
-      Guest(drive.tiers[0], p, drive.alias_code, drive.memo,
+      Guest(Tier::kUncached, p, drive.alias_code, drive.memo,
             drive.sample_period),
-      Guest(drive.tiers[1], p, drive.alias_code, drive.memo,
+      Guest(Tier::kBlockOnly, p, drive.alias_code, drive.memo,
             drive.sample_period),
-      Guest(drive.tiers[2], p, drive.alias_code, drive.memo,
+      Guest(Tier::kBlockStepped, p, drive.alias_code, drive.memo,
             drive.sample_period)};
   Rng events(seed * 0x9E3779B97F4A7C15ull + max_chunk);
   constexpr u64 kMaxSteps = 400'000;
@@ -688,7 +681,7 @@ bool run_program(const Program& p, u64 seed, u32 max_chunk, Coverage* cov,
       return false;
     }
     // Interrupt edges at identical architectural points: raised now, or
-    // parked until a release cycle the trace tier must stop exactly at.
+    // parked until a release cycle a batch must stop exactly at.
     if (events.chance(max_chunk == 1 ? 0.004 : 0.05)) {
       const bool defer = events.chance(0.5);
       const Cycles release = g[0].vcpu.cycles() + events.between(1, 400);
@@ -699,11 +692,10 @@ bool run_program(const Program& p, u64 seed, u32 max_chunk, Coverage* cov,
     }
     const u64 budget = max_chunk == 1 ? 1 : events.between(1, max_chunk);
     for (Guest& x : g) x.exit = x.run(budget);
+    // Each guest against the reference, and the two block-tier guests
+    // against each other (they also share insn_hits).
     constexpr std::pair<int, int> kPairs[] = {{0, 1}, {0, 2}, {1, 2}};
     for (const auto& [t, u] : kPairs) {
-      // Beyond the reference, two block-tier guests also share insn_hits.
-      if (t != 0 && !(g[t].block_tier_only() && g[u].block_tier_only()))
-        continue;
       std::string diff = state_diff(g[t], g[u]);
       if (diff.empty()) continue;
       ADD_FAILURE() << "divergence: seed " << seed << " chunk<=" << max_chunk
@@ -751,19 +743,18 @@ bool run_program(const Program& p, u64 seed, u32 max_chunk, Coverage* cov,
       return false;
     }
   }
-  const TraceCache::Stats& ts = g[2].vcpu.trace_cache().stats();
-  cov->dispatched += ts.dispatched;
-  cov->trace_insns += ts.trace_insns;
-  cov->fused_exec += ts.fused_exec;
-  cov->side_exits += ts.side_exits;
-  cov->trace_code_writes += ts.inval_guest_write;
-  cov->batch_insns += g[1].vcpu.block_cache().stats().batch_insns;
+  const BlockCache::Stats& bs = g[1].vcpu.block_cache().stats();
+  cov->insn_hits += bs.insn_hits;
+  cov->batch_insns += bs.batch_insns;
+  cov->code_writes += bs.inval_guest_write;
+  cov->code_loads += bs.inval_code_load;
   cov->samples += g[0].log.samples.size();
   return true;
 }
 
 /// run_program on seed's generated program, on the uncached, block-only and
-/// trace tiers. `hazards` adds the UD2-recovery and odd-return constructs.
+/// stepped block-only guests. `hazards` adds the UD2-recovery and
+/// odd-return constructs.
 bool run_lockstep(u64 seed, u32 max_chunk, Coverage* cov,
                   bool alias_code = false, bool hazards = false,
                   DecodeMemo* memo = nullptr) {
@@ -834,10 +825,8 @@ TEST(RandomLockstep, PerInstructionStepping) {
   Coverage cov;
   for (u64 seed = 1; seed <= kSeeds; ++seed)
     if (!run_lockstep(seed, 1, &cov)) return;
-  EXPECT_GT(cov.dispatched, 0u);
-  EXPECT_GT(cov.trace_insns, 1000u);
-  EXPECT_GT(cov.side_exits, 0u);
-  EXPECT_GT(cov.trace_code_writes, 0u);
+  EXPECT_GT(cov.insn_hits, 1000u);
+  EXPECT_GT(cov.code_writes, 0u);
   EXPECT_GT(cov.faults, 0u);
   EXPECT_GT(cov.breakpoints, 0u);
 }
@@ -846,10 +835,8 @@ TEST(RandomLockstep, RandomBudgets) {
   Coverage cov;
   for (u64 seed = 1; seed <= kSeeds; ++seed)
     if (!run_lockstep(seed, 97, &cov)) return;
-  EXPECT_GT(cov.trace_insns, 10000u);
-  EXPECT_GT(cov.fused_exec, 0u);
-  EXPECT_GT(cov.side_exits, 0u);
-  EXPECT_GT(cov.trace_code_writes, 0u);
+  EXPECT_GT(cov.batch_insns, 10000u);
+  EXPECT_GT(cov.code_writes, 0u);
   EXPECT_GT(cov.faults, 0u);
   EXPECT_GT(cov.breakpoints, 0u);
 }
@@ -860,8 +847,8 @@ TEST(RandomLockstep, AliasedCodeMapping) {
     if (!run_lockstep(seed, 1, &cov, /*alias_code=*/true)) return;
     if (!run_lockstep(seed, 97, &cov, /*alias_code=*/true)) return;
   }
-  EXPECT_GT(cov.dispatched, 0u);
-  EXPECT_GT(cov.trace_insns, 1000u);
+  EXPECT_GT(cov.insn_hits, 1000u);
+  EXPECT_GT(cov.batch_insns, 1000u);
 }
 
 TEST(RandomLockstep, HazardsRerunThroughASharedDecodeMemo) {
@@ -883,18 +870,18 @@ TEST(RandomLockstep, HazardsRerunThroughASharedDecodeMemo) {
   }
   EXPECT_GT(rerun_builds, 0u);
   EXPECT_GT(cov.recoveries, 0u);
-  EXPECT_GT(cov.trace_insns, 1000u);
-  EXPECT_GT(cov.trace_code_writes, 0u);
+  EXPECT_GT(cov.code_loads, 0u);
+  EXPECT_GT(cov.batch_insns, 1000u);
+  EXPECT_GT(cov.code_writes, 0u);
 }
 
 // Straight-line simple runs that reach the page-tail region: the block tier
 // must hand the tail's instructions to step(), whose fetch probes (and
 // charges a miss on) the next page exactly as uncached fetches do. Each
-// program also runs sampled, beside the stepped block tier.
+// program also runs sampled.
 TEST(RandomLockstep, SimpleRunsIntoThePageTail) {
   Coverage cov;
   Drive sampled;
-  sampled.tiers = {Tier::kUncached, Tier::kBlockOnly, Tier::kBlockStepped};
   sampled.sample_period = 11;
   for (u64 seed = 1; seed <= 32; ++seed) {
     for (const bool evict : {false, true}) {
@@ -909,15 +896,13 @@ TEST(RandomLockstep, SimpleRunsIntoThePageTail) {
   EXPECT_GT(cov.breakpoints, 0u);
 }
 
-// A short-period sampling profiler on the uncached and block-only tiers: a
-// batch must end on the instruction whose retirement reaches a sample and
-// attribute the sample to it, so the (cycles, pc, periods) streams match.
-// The third guest is the block tier stepped one instruction per run() (no
-// batches): both block guests must count the same insn_hits.
+// A short-period sampling profiler on every guest: a batch must end on the
+// instruction whose retirement reaches a sample and attribute the sample to
+// it, so the (cycles, pc, periods) streams match, and both block guests must
+// count the same insn_hits.
 TEST(RandomLockstep, SampledBlockTierMatchesUncachedAndStepping) {
   Coverage cov;
   Drive drive;
-  drive.tiers = {Tier::kUncached, Tier::kBlockOnly, Tier::kBlockStepped};
   for (u64 seed = 1; seed <= 32; ++seed) {
     drive.sample_period = 5 + seed % 37;
     const Program p = Generator(seed, false).generate();

@@ -102,7 +102,7 @@ TEST(SampleProfile, SymbolizesAgainstRegisteredRanges) {
   p.record(0x10FF, obs::kSampleTierBlock, 0, 2);
   p.record(0x1100, obs::kSampleTierBlock, 1, 4);
   p.record(0x500, obs::kSampleTierInterp, 0, 1);   // below floor → [user]
-  p.record(0x9000, obs::kSampleTierTrace, 0, 8);   // unclaimed → [unknown]
+  p.record(0x9000, obs::kSampleTierBlock, 0, 8);   // unclaimed → [unknown]
   EXPECT_EQ(p.total_weight(), 16u);
 
   std::vector<obs::SampleProfile::Bucket> buckets = p.buckets();
@@ -112,17 +112,18 @@ TEST(SampleProfile, SymbolizesAgainstRegisteredRanges) {
   EXPECT_EQ(buckets[0].samples, 1u);
   EXPECT_EQ(buckets[1].func, "alpha");
   EXPECT_EQ(buckets[1].samples, 1u);
-  EXPECT_EQ(buckets[2].func, "alpha");  // 0x10FF still inside alpha
-  EXPECT_EQ(buckets[2].samples, 2u);
-  EXPECT_EQ(buckets[3].func, "[unknown]");
-  EXPECT_EQ(buckets[3].samples, 8u);
+  EXPECT_EQ(buckets[2].func, "[unknown]");
+  EXPECT_EQ(buckets[2].samples, 8u);
+  EXPECT_EQ(buckets[3].func, "alpha");  // 0x10FF still inside alpha
+  EXPECT_EQ(buckets[3].samples, 2u);
   EXPECT_EQ(buckets[4].view, 1u);
   EXPECT_EQ(buckets[4].func, "beta");
   EXPECT_EQ(buckets[4].samples, 4u);
 
   EXPECT_EQ(p.view_weights()[0], 12u);
   EXPECT_EQ(p.view_weights()[1], 4u);
-  EXPECT_EQ(p.tier_weights()[obs::kSampleTierTrace], 8u);
+  EXPECT_EQ(p.tier_weights()[obs::kSampleTierInterp], 2u);
+  EXPECT_EQ(p.tier_weights()[obs::kSampleTierBlock], 14u);
 }
 
 TEST(SampleProfile, MergeMatchesByNameNotByTableOrder) {
@@ -153,7 +154,7 @@ TEST(SampleProfile, CollapsedAndJsonAreDeterministic) {
     obs::SampleProfile p;
     p.set_period(4096);
     p.add_function("do_work", 0x1000, 0x40);
-    p.record(0x1000, obs::kSampleTierTrace, 2, 10);
+    p.record(0x1000, obs::kSampleTierInterp, 2, 10);
     p.record(0x1004, obs::kSampleTierBlock, 0, 1);
     return p;
   };
@@ -161,7 +162,7 @@ TEST(SampleProfile, CollapsedAndJsonAreDeterministic) {
   EXPECT_EQ(p.to_json(), q.to_json());
   EXPECT_EQ(p.collapsed(), q.collapsed());
   // Collapsed lines are "view_<v>;<tier>;<func> <weight>".
-  EXPECT_NE(p.collapsed().find("view_2;trace;do_work 10"), std::string::npos);
+  EXPECT_NE(p.collapsed().find("view_2;interp;do_work 10"), std::string::npos);
   EXPECT_NE(p.to_json().find("\"period\":4096"), std::string::npos);
 }
 
@@ -219,7 +220,7 @@ struct CountingSink final : public cpu::SampleSink {
     ++fires;
     weight += periods;
     last_at = now;
-    EXPECT_LE(tier, cpu::kTierTrace);
+    EXPECT_LE(tier, cpu::kTierBlock);
     EXPECT_GE(periods, 1u);
   }
 };

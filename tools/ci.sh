@@ -6,17 +6,15 @@
 #   tools/ci.sh tsan        ThreadSanitizer tier: the fleet determinism and
 #                           COW isolation tests under -fsanitize=thread
 #                           (workers share refcounts, the result sink and
-#                           the image's decode memo), plus the trace-cache
-#                           and block-cache suites (the latter with a
-#                           four-thread DecodeMemo case)
+#                           the image's decode memo), plus the block-cache
+#                           suite (with a four-thread DecodeMemo case)
 #   tools/ci.sh bench-smoke interpreter-throughput + fleet-scaling smoke
-#                           runs under ASan (exercises the uncached, block
-#                           and trace tiers and the COW fleet end to end;
-#                           tiny budgets, no thresholds), then the release
-#                           bench with the tier gates enforced (block >=
-#                           2.0x over uncached, trace >= 3.0x over
-#                           uncached, recorded in BENCH_interp.json),
-#                           then the host-time benchmark's smoke test
+#                           runs under ASan (exercises the uncached and
+#                           block tiers and the COW fleet end to end; tiny
+#                           budgets, no thresholds), then the release bench
+#                           with the tier gate enforced (block >= 2.0x over
+#                           uncached, recorded in BENCH_interp.json), then
+#                           the host-time benchmark's smoke test
 #                           (hostbench/smoke_test.py)
 #   tools/ci.sh fleet-scale-smoke
 #                           determinism gate for the work-stealing fleet
@@ -129,11 +127,6 @@ tsan() {
   # at jobs 1/4/8, COW promotion isolation, shared-image rehydration) with
   # TSan watching the shared-store refcounts and the result sink.
   ./build-tsan/tests/fleet_test
-  # Trace-tier suite under TSan too: the dispatcher is per-vCPU, but fleet
-  # workers each own one and share read-only code frames, so the tier's
-  # invalidation paths run here with the race detector watching.
-  cmake --build build-tsan -j "$jobs" --target tracecache_test
-  ./build-tsan/tests/tracecache_test
   # Block-cache suite under TSan: fleet workers' block caches all build
   # through their image's DecodeMemo, and the suite's concurrency case has
   # four threads building identical and same-prefix blocks through one memo.
@@ -152,20 +145,20 @@ bench_smoke() {
   ASAN_OPTIONS=detect_leaks=0 ./build-asan/bench/fleet_scale --smoke
   # Throughput gates run on the release build — the sanitized smoke pass
   # above checks memory safety, not speed. The bench enforces its own
-  # thresholds (block >= 2.0x over uncached, trace >= 3.0x over uncached)
-  # and writes the geomeans into BENCH_interp.json; the sed/awk re-check
-  # keeps the shipped artifact honest even if the bench's gating changes.
+  # threshold (block >= 2.0x over uncached) and writes the geomean into
+  # BENCH_interp.json; the sed/awk re-check keeps the shipped artifact
+  # honest even if the bench's gating changes.
   cmake -B build -S . -DFC_WERROR=ON
   cmake --build build -j "$jobs" --target interp_throughput
   ./build/bench/interp_throughput
-  trace_geomean="$(sed -n \
-    's/.*"trace_off_geomean_speedup": \([0-9.]*\).*/\1/p' BENCH_interp.json)"
-  if ! awk -v g="$trace_geomean" 'BEGIN { exit !(g >= 3.0) }'; then
-    echo "bench-smoke: trace-tier geomean $trace_geomean < 3.0x gate" >&2
+  block_geomean="$(sed -n \
+    's/.*"geomean_speedup": \([0-9.]*\).*/\1/p' BENCH_interp.json)"
+  if ! awk -v g="$block_geomean" 'BEGIN { exit !(g >= 2.0) }'; then
+    echo "bench-smoke: block-tier geomean $block_geomean < 2.0x gate" >&2
     exit 1
   fi
-  echo "bench-smoke: trace tier ${trace_geomean}x over uncached" \
-       "(gate >= 3.0x)"
+  echo "bench-smoke: block tier ${block_geomean}x over uncached" \
+       "(gate >= 2.0x)"
   # The host-time benchmark at tiny sizes: every workload untraced and
   # traced must report every BENCHMARK.json metric with no failed
   # operations. It builds hostbench/ into .bench_build/ itself.
@@ -265,7 +258,7 @@ perf_gate() {
     --name flame
   # The gate must also be able to FAIL: inject a synthetic regression into
   # a copy of the fresh artifact and require a non-zero exit.
-  sed 's/"trace_geomean_speedup": [0-9.]*/"trace_geomean_speedup": 0.010/' \
+  sed 's/"geomean_speedup": [0-9.]*/"geomean_speedup": 0.010/' \
     BENCH_interp.json > ci-artifacts/BENCH_interp_regressed.json
   if ./build/tools/fcperf check bench/baselines/BENCH_interp.json \
        ci-artifacts/BENCH_interp_regressed.json \

@@ -36,6 +36,7 @@
 #include "harness/harness.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/trace.hpp"
+#include "support/cli.hpp"
 #include "support/hexdump.hpp"
 #include "support/logging.hpp"
 
@@ -327,7 +328,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> apps;
   for (int i = first; i < argc; ++i) {
     if (!std::strcmp(argv[i], "-n") && i + 1 < argc) {
-      iterations = static_cast<u32>(std::atoi(argv[++i]));
+      iterations = static_cast<u32>(
+          count_arg("fclint", "-n", argv[++i], 1, 1'000'000));
     } else if (!std::strcmp(argv[i], "--baseline") && i + 1 < argc) {
       baseline = argv[++i];
     } else if (!std::strcmp(argv[i], "--update-baseline") && i + 1 < argc) {

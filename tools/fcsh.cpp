@@ -27,6 +27,7 @@
 #include "harness/harness.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/trace.hpp"
+#include "support/cli.hpp"
 #include "support/logging.hpp"
 
 using namespace fc;
@@ -42,7 +43,6 @@ namespace {
       "  behavior <app> [-n iterations] [-o behavior.cfg]\n"
       "  inspect  <view.cfg>\n"
       "  enforce  <app> -v view.cfg [-n iterations] [--no-block-cache]\n"
-      "           [--no-trace-cache]\n"
       "           [--closure]  (expand the view by static call-graph "
       "closure)\n"
       "  matrix   [-n iterations]\n"
@@ -50,6 +50,8 @@ namespace {
       "  integrity <attack-name>\n"
       "  fleet    [--vms N] [--jobs N] [-n iterations] [--apps a,b,c]\n"
       "           [--no-share] [-o report.json] [--trace-out fleet.fctr]\n"
+      "           (--vms 1..4096; --jobs 0 = one worker per VM, at most\n"
+      "           256 workers)\n"
       "global flags:\n"
       "  --log-level LEVEL   trace|debug|info|warn|error|off (also the\n"
       "                      FC_LOG_LEVEL environment variable)\n"
@@ -86,7 +88,6 @@ struct Options {
   std::string trace_out;  // Chrome trace JSON destination ("" = no capture)
   bool union_view = false;
   bool block_cache = true;
-  bool trace_cache = true;
   bool closure = false;  // enforce: expand the view by static closure
   u32 vms = 8;           // fleet: guest count
   u32 jobs = 1;          // fleet: worker threads (0 = one per VM)
@@ -98,7 +99,8 @@ Options parse_flags(int argc, char** argv, int first) {
   Options options;
   for (int i = first; i < argc; ++i) {
     if (!std::strcmp(argv[i], "-n") && i + 1 < argc) {
-      options.iterations = static_cast<u32>(std::atoi(argv[++i]));
+      options.iterations =
+          static_cast<u32>(count_arg("fcsh", "-n", argv[++i], 1, 1'000'000));
     } else if (!std::strcmp(argv[i], "-o") && i + 1 < argc) {
       options.out = argv[++i];
     } else if (!std::strcmp(argv[i], "-v") && i + 1 < argc) {
@@ -107,16 +109,16 @@ Options parse_flags(int argc, char** argv, int first) {
       options.union_view = true;
     } else if (!std::strcmp(argv[i], "--no-block-cache")) {
       options.block_cache = false;
-    } else if (!std::strcmp(argv[i], "--no-trace-cache")) {
-      options.trace_cache = false;
     } else if (!std::strcmp(argv[i], "--closure")) {
       options.closure = true;
     } else if (!std::strcmp(argv[i], "--trace-out") && i + 1 < argc) {
       options.trace_out = argv[++i];
     } else if (!std::strcmp(argv[i], "--vms") && i + 1 < argc) {
-      options.vms = static_cast<u32>(std::atoi(argv[++i]));
+      options.vms = static_cast<u32>(
+          count_arg("fcsh", "--vms", argv[++i], 1, fleet::kMaxVms));
     } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-      options.jobs = static_cast<u32>(std::atoi(argv[++i]));
+      options.jobs = static_cast<u32>(
+          count_arg("fcsh", "--jobs", argv[++i], 0, fleet::kMaxWorkers));
     } else if (!std::strcmp(argv[i], "--no-share")) {
       options.share = false;
     } else if (!std::strcmp(argv[i], "--apps") && i + 1 < argc) {
@@ -138,6 +140,11 @@ Options parse_flags(int argc, char** argv, int first) {
     } else {
       usage();
     }
+  }
+  const std::string shape = fleet::fleet_shape_error(options.vms, options.jobs);
+  if (!shape.empty()) {
+    std::fprintf(stderr, "fcsh: %s\n", shape.c_str());
+    std::exit(2);
   }
   return options;
 }
@@ -212,9 +219,6 @@ int cmd_enforce(const std::string& app, const Options& options) {
 
   harness::GuestSystem sys;
   sys.vcpu().set_block_cache_enabled(options.block_cache);
-  // The trace tier stacks on the block cache; disabling the latter disables
-  // both regardless of the trace flag.
-  sys.vcpu().set_trace_cache_enabled(options.block_cache && options.trace_cache);
   core::FaceChangeEngine engine(sys.hv(), sys.os().kernel());
   engine.enable();
 

@@ -57,6 +57,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/cli.hpp"
 #include "support/logging.hpp"
 
 using namespace fc;
@@ -301,9 +302,9 @@ int cmd_aggregate(const std::string& path) {
     std::map<u32, u64> per_vm;  // vm id → count (fleet containers)
   };
   std::map<std::string, Agg> by_kind;
-  // view id → per-tier sample weight (interp/block/trace), from the
-  // sampling profiler's prof_sample events (weight = arg1 periods).
-  std::map<u16, std::array<u64, 3>> view_samples;
+  // view id → per-tier sample weight (interp/block), from the sampling
+  // profiler's prof_sample events (weight = arg1 periods).
+  std::map<u16, std::array<u64, 2>> view_samples;
   u64 sample_total = 0;
   u64 total_events = 0;
   u64 total_dropped = 0;
@@ -321,7 +322,7 @@ int cmd_aggregate(const std::string& path) {
           ev.kind == obs::EventKind::kRecovery)
         agg.cycles += ev.arg3;
       if (ev.kind == obs::EventKind::kProfSample) {
-        u8 tier = ev.flags < 3 ? static_cast<u8>(ev.flags) : u8{0};
+        u8 tier = ev.flags < 2 ? static_cast<u8>(ev.flags) : u8{0};
         view_samples[ev.view][tier] += ev.arg1;
         sample_total += ev.arg1;
       }
@@ -355,34 +356,20 @@ int cmd_aggregate(const std::string& path) {
     }
     std::printf("\n");
   }
-  // Trace-tier rollup: the four kinds above already appear as rows, but the
-  // tier is judged as a unit (how much execution it carried, how often it
-  // bailed), so summarize it on one line.
-  auto kind_count = [&](const char* kind) -> u64 {
-    auto it = by_kind.find(kind);
-    return it == by_kind.end() ? 0 : it->second.count;
-  };
-  std::printf("trace tier: %llu built / %llu dispatched / %llu retired / "
-              "%llu side-exits\n",
-              static_cast<unsigned long long>(kind_count("trace_build")),
-              static_cast<unsigned long long>(kind_count("trace_dispatch")),
-              static_cast<unsigned long long>(kind_count("trace_retire")),
-              static_cast<unsigned long long>(kind_count("trace_side_exit")));
   // Per-view cycle share from the sampling profiler's events (only present
   // when the recording ran with telemetry attached). Shares are integer
   // basis points of the total sample weight — deterministic output.
   if (sample_total != 0) {
     std::printf("view cycle share (%llu sample periods):\n",
                 static_cast<unsigned long long>(sample_total));
-    std::printf("%-8s %10s %10s %10s %10s  %7s\n", "view", "interp", "block",
-                "trace", "total", "share");
+    std::printf("%-8s %10s %10s %10s  %7s\n", "view", "interp", "block",
+                "total", "share");
     for (const auto& [view, tiers] : view_samples) {
-      u64 row = tiers[0] + tiers[1] + tiers[2];
+      u64 row = tiers[0] + tiers[1];
       u64 bp = row * 10000 / sample_total;
-      std::printf("%-8u %10llu %10llu %10llu %10llu  %3llu.%02llu%%\n", view,
+      std::printf("%-8u %10llu %10llu %10llu  %3llu.%02llu%%\n", view,
                   static_cast<unsigned long long>(tiers[0]),
                   static_cast<unsigned long long>(tiers[1]),
-                  static_cast<unsigned long long>(tiers[2]),
                   static_cast<unsigned long long>(row),
                   static_cast<unsigned long long>(bp / 100),
                   static_cast<unsigned long long>(bp % 100));
@@ -701,6 +688,27 @@ int main(int argc, char** argv) {
       if (args[i] == flag) return &args[i + 1];
     return nullptr;
   };
+  // A count flag's value, strictly parsed (exit 2 when rejected), or
+  // `fallback` when the flag is absent.
+  auto count_flag = [&](const char* flag, u64 fallback, u64 lo,
+                        u64 hi) -> u64 {
+    const std::string* v = flag_value(flag);
+    return v == nullptr ? fallback : count_arg("fctrace", flag, *v, lo, hi);
+  };
+  // An id filter's value, or -1 (no filter) when the flag is absent.
+  auto id_flag = [&](const char* flag, u64 hi) -> int {
+    return flag_value(flag) == nullptr
+               ? -1
+               : static_cast<int>(count_flag(flag, 0, 0, hi));
+  };
+  constexpr u64 kMaxIterations = 1'000'000;
+  constexpr u64 kMaxCycles = 1'000'000'000'000ull;
+  auto check_fleet_shape = [](u32 vms, u32 jobs) {
+    const std::string shape = fleet::fleet_shape_error(vms, jobs);
+    if (shape.empty()) return;
+    std::fprintf(stderr, "fctrace: %s\n", shape.c_str());
+    std::exit(2);
+  };
   auto positional = [&](std::size_t index) -> const std::string* {
     std::size_t seen = 0;
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -715,12 +723,11 @@ int main(int argc, char** argv) {
 
   if (cmd == "record") {
     RecordOptions options;
-    if (const std::string* v = flag_value("-n"))
-      options.iterations = static_cast<u32>(std::atoi(v->c_str()));
-    if (const std::string* v = flag_value("--ring"))
-      options.ring = static_cast<u32>(std::atoi(v->c_str()));
-    if (const std::string* v = flag_value("--budget"))
-      options.budget = std::strtoull(v->c_str(), nullptr, 10);
+    options.iterations = static_cast<u32>(
+        count_flag("-n", options.iterations, 1, kMaxIterations));
+    options.ring =
+        static_cast<u32>(count_flag("--ring", options.ring, 1, 1u << 22));
+    options.budget = count_flag("--budget", options.budget, 1, kMaxCycles);
     if (const std::string* v = flag_value("--apps"))
       options.apps = split_csv(*v);
     if (const std::string* v = flag_value("-o")) options.out = *v;
@@ -728,50 +735,48 @@ int main(int argc, char** argv) {
       options.chrome_out = *v;
     if (const std::string* v = flag_value("--metrics"))
       options.metrics_out = *v;
-    if (const std::string* v = flag_value("--vms"))
-      options.vms = static_cast<u32>(std::atoi(v->c_str()));
-    if (const std::string* v = flag_value("--jobs"))
-      options.jobs = static_cast<u32>(std::atoi(v->c_str()));
-    if (const std::string* v = flag_value("--period"))
-      options.sample_period = std::strtoull(v->c_str(), nullptr, 10);
+    options.vms = static_cast<u32>(
+        count_flag("--vms", options.vms, 0, fleet::kMaxVms));
+    options.jobs = static_cast<u32>(
+        count_flag("--jobs", options.jobs, 0, fleet::kMaxWorkers));
+    if (options.vms > 0) check_fleet_shape(options.vms, options.jobs);
+    options.sample_period =
+        count_flag("--period", options.sample_period, 0, kMaxCycles);
     return cmd_record(options);
   }
   if (cmd == "flame") {
     RecordOptions options;
     options.out = "flame.collapsed";
     options.sample_period = core::FaceChangeEngine::kDefaultSamplePeriod;
-    if (const std::string* v = flag_value("-n"))
-      options.iterations = static_cast<u32>(std::atoi(v->c_str()));
-    if (const std::string* v = flag_value("--budget"))
-      options.budget = std::strtoull(v->c_str(), nullptr, 10);
+    options.iterations = static_cast<u32>(
+        count_flag("-n", options.iterations, 1, kMaxIterations));
+    options.budget = count_flag("--budget", options.budget, 1, kMaxCycles);
     if (const std::string* v = flag_value("--apps"))
       options.apps = split_csv(*v);
     if (const std::string* v = flag_value("-o")) options.out = *v;
-    if (const std::string* v = flag_value("--period"))
-      options.sample_period = std::strtoull(v->c_str(), nullptr, 10);
+    options.sample_period =
+        count_flag("--period", options.sample_period, 0, kMaxCycles);
     std::string json_out;
-    std::size_t top = 20;
     if (const std::string* v = flag_value("--json")) json_out = *v;
-    if (const std::string* v = flag_value("--top"))
-      top = static_cast<std::size_t>(std::atoi(v->c_str()));
+    const std::size_t top =
+        static_cast<std::size_t>(count_flag("--top", 20, 1, 100'000));
     return cmd_flame(options, json_out, top);
   }
   if (cmd == "timeline") {
     TimelineOptions options;
-    if (const std::string* v = flag_value("--vms"))
-      options.vms = static_cast<u32>(std::atoi(v->c_str()));
-    if (const std::string* v = flag_value("--jobs"))
-      options.jobs = static_cast<u32>(std::atoi(v->c_str()));
-    if (const std::string* v = flag_value("-n"))
-      options.iterations = static_cast<u32>(std::atoi(v->c_str()));
-    if (const std::string* v = flag_value("--budget"))
-      options.budget = std::strtoull(v->c_str(), nullptr, 10);
+    options.vms = static_cast<u32>(
+        count_flag("--vms", options.vms, 1, fleet::kMaxVms));
+    options.jobs = static_cast<u32>(
+        count_flag("--jobs", options.jobs, 0, fleet::kMaxWorkers));
+    check_fleet_shape(options.vms, options.jobs);
+    options.iterations = static_cast<u32>(
+        count_flag("-n", options.iterations, 1, kMaxIterations));
+    options.budget = count_flag("--budget", options.budget, 1, kMaxCycles);
     if (const std::string* v = flag_value("--apps"))
       options.apps = split_csv(*v);
-    if (const std::string* v = flag_value("--period"))
-      options.sample_period = std::strtoull(v->c_str(), nullptr, 10);
-    if (const std::string* v = flag_value("--interval"))
-      options.interval = std::strtoull(v->c_str(), nullptr, 10);
+    options.sample_period =
+        count_flag("--period", options.sample_period, 0, kMaxCycles);
+    options.interval = count_flag("--interval", options.interval, 0, kMaxCycles);
     if (const std::string* v = flag_value("-o")) options.out = *v;
     if (const std::string* v = flag_value("--column"))
       options.column = *v;
@@ -781,15 +786,10 @@ int main(int argc, char** argv) {
     const std::string* path = positional(0);
     if (path == nullptr) usage();
     std::string kind;
-    int view = -1;
-    int vm = -1;
-    u64 limit = ~0ull;
     if (const std::string* v = flag_value("--kind")) kind = *v;
-    if (const std::string* v = flag_value("--view"))
-      view = std::atoi(v->c_str());
-    if (const std::string* v = flag_value("--vm")) vm = std::atoi(v->c_str());
-    if (const std::string* v = flag_value("--limit"))
-      limit = std::strtoull(v->c_str(), nullptr, 10);
+    const int view = id_flag("--view", 0xFFFF);
+    const int vm = id_flag("--vm", fleet::kMaxVms - 1);
+    const u64 limit = count_flag("--limit", ~0ull, 1, ~0ull);
     return cmd_dump(*path, kind, view, vm, limit);
   }
   if (cmd == "aggregate") {
@@ -801,9 +801,8 @@ int main(int argc, char** argv) {
     const std::string* path = positional(0);
     if (path == nullptr) usage();
     const std::string* out = flag_value("-o");
-    int vm = -1;
-    if (const std::string* v = flag_value("--vm")) vm = std::atoi(v->c_str());
-    return cmd_chrome(*path, out != nullptr ? *out : "", vm);
+    return cmd_chrome(*path, out != nullptr ? *out : "",
+                      id_flag("--vm", fleet::kMaxVms - 1));
   }
   if (cmd == "diff") {
     const std::string* a = positional(0);
