@@ -46,6 +46,7 @@
 
 #include "fleet/fleet.hpp"
 #include "harness/harness.hpp"
+#include "support/cli.hpp"
 #include "ubench_models.hpp"
 
 namespace {
@@ -232,9 +233,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--vms") == 0 && i + 1 < argc) {
-      vms = static_cast<u32>(std::atoi(argv[++i]));
+      vms = static_cast<u32>(
+          count_arg("fleet_http", "--vms", argv[++i], 1, fleet::kMaxVms));
     } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = static_cast<u32>(std::atoi(argv[++i]));
+      requests = static_cast<u32>(
+          count_arg("fleet_http", "--requests", argv[++i], 1, 1'000'000));
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--determinism-out") == 0 &&
@@ -249,6 +252,12 @@ int main(int argc, char** argv) {
   }
   if (vms == 0) vms = smoke ? 4 : 8;
   if (requests == 0) requests = smoke ? 12 : 40;
+  // The sweep runs one worker per VM (jobs 0), so that is the shape to cap.
+  const std::string shape = fleet::fleet_shape_error(vms, 0);
+  if (!shape.empty()) {
+    std::fprintf(stderr, "fleet_http: %s\n", shape.c_str());
+    return 2;
+  }
 
   // ---- phase A: UDP saturation knee, per-packet IRQ vs batched ----------
   const Cycles window = smoke ? 4'000'000 : 10'000'000;

@@ -7,8 +7,16 @@
 // budget (the lockstep test proves byte-equivalence), so the ratios isolate
 // exactly the dispatch work the block tier removes.
 //
+// A release run times whole budget-sized chunks until the run has retired
+// at least kMinTimedInsns instructions: a subtest whose work is mostly
+// modelled compute cycles (Dhrystone, Whetstone) retires only ~2M
+// instructions per budget, and a ~25 ms timed run lets one host hiccup
+// decide its throughput floor. The chunk count depends only on simulated
+// instructions, so it stays exact.
+//
 // Usage: interp_throughput [--smoke]
-//   --smoke   tiny cycle budget, no speedup thresholds (CI / sanitizer tier)
+//   --smoke   tiny cycle budget, one chunk per timed run, no speedup
+//             thresholds (CI / sanitizer tier)
 //
 // Writes BENCH_interp.json next to the working directory and exits non-zero
 // if the block-cache geomean falls below 2x over uncached, the profiled
@@ -33,6 +41,10 @@ namespace {
 
 enum class Tier { kUncached, kBlockOnly, kBlockProfiled };
 
+/// 140-200 ms of block-tier execution at 80-115M insns/s (the rates a
+/// shared 4-vCPU host gives).
+constexpr fc::u64 kMinTimedInsns = 16'000'000;
+
 struct Sample {
   double insns_per_sec = 0;
   fc::u64 insns = 0;
@@ -51,8 +63,11 @@ struct ProfSink final : public fc::cpu::SampleSink {
   }
 };
 
+/// Run `warmup`, then time `budget`-cycle chunks until at least `min_insns`
+/// instructions have retired (one chunk when min_insns is 0, or when a chunk
+/// retires nothing).
 Sample measure(const fc::ubench::Subtest& subtest, Tier tier,
-               fc::Cycles warmup, fc::Cycles budget) {
+               fc::Cycles warmup, fc::Cycles budget, fc::u64 min_insns) {
   using Clock = std::chrono::steady_clock;
   fc::harness::GuestSystem sys;
   sys.vcpu().set_block_cache_enabled(tier != Tier::kUncached);
@@ -71,7 +86,11 @@ Sample measure(const fc::ubench::Subtest& subtest, Tier tier,
 
   const fc::u64 i0 = sys.vcpu().instructions_retired();
   const Clock::time_point t0 = Clock::now();
-  sys.run_for(budget);
+  for (fc::u64 before = i0;; before = sys.vcpu().instructions_retired()) {
+    sys.run_for(budget);
+    const fc::u64 now = sys.vcpu().instructions_retired();
+    if (now - i0 >= min_insns || now == before) break;
+  }
   const Clock::time_point t1 = Clock::now();
   Sample s;
   s.insns = sys.vcpu().instructions_retired() - i0;
@@ -89,10 +108,11 @@ Sample measure(const fc::ubench::Subtest& subtest, Tier tier,
 /// overhead gate compares two ~1.0x-apart configs and would otherwise flake
 /// on a loaded CI box.
 Sample measure_best(const fc::ubench::Subtest& subtest, Tier tier,
-                    fc::Cycles warmup, fc::Cycles budget, int reps) {
-  Sample best = measure(subtest, tier, warmup, budget);
+                    fc::Cycles warmup, fc::Cycles budget, fc::u64 min_insns,
+                    int reps) {
+  Sample best = measure(subtest, tier, warmup, budget, min_insns);
   for (int r = 1; r < reps; ++r) {
-    Sample s = measure(subtest, tier, warmup, budget);
+    Sample s = measure(subtest, tier, warmup, budget, min_insns);
     if (s.insns != best.insns)
       std::printf("  WARNING: nondeterministic repetition on %s "
                   "(%llu vs %llu insns)\n",
@@ -113,10 +133,13 @@ int main(int argc, char** argv) {
 
   const Cycles warmup = smoke ? 500'000 : 3'000'000;
   const Cycles budget = smoke ? 2'000'000 : 60'000'000;
+  const u64 min_insns = smoke ? 0 : kMinTimedInsns;
 
   std::printf("Interpreter throughput — uncached vs block cache\n");
-  std::printf("(budget %llu simulated cycles per run%s)\n\n",
-              (unsigned long long)budget, smoke ? ", SMOKE" : "");
+  std::printf("(budget %llu simulated cycles per chunk, >= %llu insns per "
+              "timed run%s)\n\n",
+              (unsigned long long)budget, (unsigned long long)min_insns,
+              smoke ? ", SMOKE" : "");
   std::printf("%-22s %11s %11s %11s %7s %7s\n", "Subtest", "off (i/s)",
               "block (i/s)", "prof (i/s)", "blk/off", "prf/blk");
   std::printf("%s\n", std::string(74, '-').c_str());
@@ -136,7 +159,8 @@ int main(int argc, char** argv) {
     // they get best-of-3 on release runs; the uncached run only feeds the
     // wide-margin block gate and gets one repetition.
     const int reps = smoke ? 1 : 3;
-    Sample block = measure_best(subtest, Tier::kBlockOnly, warmup, budget, reps);
+    Sample block =
+        measure_best(subtest, Tier::kBlockOnly, warmup, budget, min_insns, reps);
     // Accumulate the block tier's counters into the obs registry (every
     // repetition counts the same); the whole registry is embedded in
     // BENCH_interp.json below.
@@ -147,9 +171,9 @@ int main(int argc, char** argv) {
     m.add("block_cache.blocks_built", block.blocks.blocks_built);
     m.add("block_cache.insns_decoded", block.blocks.insns_decoded);
     m.observe("bench.subtest_insns", block.insns);
-    Sample off = measure(subtest, Tier::kUncached, warmup, budget);
-    Sample prof =
-        measure_best(subtest, Tier::kBlockProfiled, warmup, budget, reps);
+    Sample off = measure(subtest, Tier::kUncached, warmup, budget, min_insns);
+    Sample prof = measure_best(subtest, Tier::kBlockProfiled, warmup, budget,
+                               min_insns, reps);
     // Determinism check: same simulated budget → same instruction stream at
     // every tier (lockstep_test proves the stronger per-step property).
     if (block.insns != off.insns)

@@ -92,8 +92,6 @@ void BehaviorProfiler::detach() {
   attached_ = false;
 }
 
-void BehaviorProfiler::on_interrupt(u8, bool) {}
-
 void BehaviorProfiler::on_block(GVirt start, GVirt end) {
   if (start <= switch_to_addr_ && switch_to_addr_ < end) {
     cached_comm_ = hv_->vmi().current_task().comm;

@@ -66,7 +66,6 @@ class BehaviorProfiler : public cpu::TraceSink {
 
   // TraceSink:
   void on_block(GVirt start, GVirt end) override;
-  void on_interrupt(u8 vector, bool hardware) override;
 
  private:
   hv::Hypervisor* hv_;

@@ -33,11 +33,6 @@ void Profiler::refresh_current() {
   cached_comm_ = hv_->vmi().current_task().comm;
 }
 
-void Profiler::on_interrupt(u8, bool) {
-  // Context tracking is driven by the guest's own irq_count (read per
-  // block), as described in §III-A3; nothing to do here.
-}
-
 void Profiler::record(Store& store, GVirt start, GVirt end) {
   u64 key = (static_cast<u64>(start) << 32) | end;
   if (!store.seen_blocks.insert(key).second) return;

@@ -44,7 +44,6 @@ class Profiler : public cpu::TraceSink {
 
   // --- TraceSink ---
   void on_block(GVirt start, GVirt end) override;
-  void on_interrupt(u8 vector, bool hardware) override;
 
  private:
   struct Store {

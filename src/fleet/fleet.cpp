@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -8,7 +9,6 @@
 
 #include "apps/apps.hpp"
 #include "core/engine.hpp"
-#include "fleet/work_steal.hpp"
 #include "harness/harness.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -173,32 +173,44 @@ FleetRunner::FleetRunner(const core::SharedImage& image, FleetOptions options)
 }
 
 namespace {
-/// Fences off the calling thread's recorder for the duration of a VM run.
-/// With jobs<=1 the VM executes on the *caller's* thread: if the caller has
-/// its own capture in flight (fctrace, a test), the VM's events must neither
-/// bleed into that ring nor leave the recorder's clock pointing at the VM's
-/// (destroyed) vCPU afterwards. Suspends an active capture on entry and
-/// restores the enabled flag, clock and cycle rate on exit; when the fleet
-/// itself captures (capture_traces) the ring's events are repurposed for the
-/// VM, but the caller's recorder configuration still comes back intact.
-class RecorderQuarantine {
+/// Fences off the calling thread's recorder and metrics registry for the
+/// duration of a VM run. With jobs<=1 the VM executes on the *caller's*
+/// thread: if the caller has its own capture in flight (fctrace, a test),
+/// the VM's events must neither bleed into that ring nor leave the
+/// recorder's clock pointing at the VM's (destroyed) vCPU afterwards.
+/// Suspends an active capture on entry and restores the enabled flag, clock
+/// and cycle rate on exit; when the fleet itself captures (capture_traces)
+/// the ring's events are repurposed for the VM, but the caller's recorder
+/// configuration still comes back intact.
+///
+/// The VM gets an empty metrics registry and the thread's own comes back on
+/// exit. Resetting in place would not isolate it: reset() keeps every
+/// histogram's key (instrumented objects cache Histogram*), so a VM's
+/// exported metrics would carry empty histograms that an earlier VM on the
+/// same worker created, and the report would depend on which worker ran
+/// which VM. Moving a std::map keeps its nodes, so pointers the caller's
+/// objects cached stay valid.
+class VmQuarantine {
  public:
-  RecorderQuarantine()
+  VmQuarantine()
       : rec_(obs::recorder()),
         was_capturing_(rec_.capturing()),
         clock_(rec_.clock()),
         cycles_per_second_(rec_.cycles_per_second()),
-        capacity_(rec_.capacity()) {
+        capacity_(rec_.capacity()),
+        metrics_(std::move(obs::metrics())) {
     if (was_capturing_) rec_.stop();
+    obs::metrics() = obs::Metrics{};
   }
-  ~RecorderQuarantine() {
+  ~VmQuarantine() {
+    obs::metrics() = std::move(metrics_);
     if (rec_.capacity() != capacity_) rec_.set_capacity(capacity_);
     rec_.set_clock(clock_);
     rec_.set_cycles_per_second(cycles_per_second_);
     if (was_capturing_) rec_.resume();
   }
-  RecorderQuarantine(const RecorderQuarantine&) = delete;
-  RecorderQuarantine& operator=(const RecorderQuarantine&) = delete;
+  VmQuarantine(const VmQuarantine&) = delete;
+  VmQuarantine& operator=(const VmQuarantine&) = delete;
 
  private:
   obs::Recorder& rec_;
@@ -206,6 +218,7 @@ class RecorderQuarantine {
   const Cycles* clock_;
   u64 cycles_per_second_;
   u32 capacity_;
+  obs::Metrics metrics_;
 };
 }  // namespace
 
@@ -223,14 +236,11 @@ VmResult FleetRunner::run_one_vm(u32 vm_id) {
   result.vm = vm_id;
   result.app = app;
 
-  // Fence the caller's recorder off for the whole VM lifetime (construction
-  // emits events too); destroyed last, after the VM stack is gone.
-  RecorderQuarantine quarantine;
-
-  // Per-VM isolation of the thread-local registries: a VM's exported
-  // metrics must not depend on what ran earlier on this worker (jobs=1 runs
-  // every VM on one thread; jobs=N spreads them).
-  obs::metrics().reset();
+  // Fence the caller's recorder and metrics off for the whole VM lifetime
+  // (construction emits events too); destroyed last, after the VM stack is
+  // gone. A VM's exported metrics must not depend on what ran earlier on
+  // this worker (jobs=1 runs every VM on one thread; jobs=N spreads them).
+  VmQuarantine quarantine;
 
   // This worker owns the whole VM stack; the shared image is only ever read.
   std::unique_ptr<harness::GuestSystem> sys;
@@ -314,7 +324,7 @@ VmResult FleetRunner::run_one_vm(u32 vm_id) {
   result.metrics_json = engine.metrics_json();
   if (options_.capture_telemetry) {
     // Copy the captures out before the engine (and the thread-local
-    // registry's next reset) go away; the report slot owns them afterwards.
+    // metrics registry) go away; the report slot owns them afterwards.
     result.profile = engine.profile();
     result.timeline = engine.timeline();
     const obs::Histogram* hist =
@@ -342,6 +352,8 @@ std::string fleet_shape_error(u32 vms, u32 jobs) {
 
 FleetReport FleetRunner::run() {
   const u32 vms = options_.vms;
+  const std::string shape = fleet_shape_error(vms, options_.jobs);
+  FC_CHECK(shape.empty(), << shape);
   const u32 jobs = resolved_workers(vms, options_.jobs);
 
   FleetReport report;
@@ -350,23 +362,24 @@ FleetReport FleetRunner::run() {
       options_.share_image ? image_->store.page_count() : 0;
 
   const auto start = std::chrono::steady_clock::now();
-  WorkStealingQueues queue(jobs, vms);
-  // No result-sink lock: report.vms is pre-sized and each VM id is claimed
-  // by exactly one worker, so workers move results into disjoint slots; the
-  // pool join below is the happens-before edge that publishes them to the
-  // caller (the TSan tier keeps this honest).
-  auto worker = [&](u32 self) {
-    for (u32 vm = 0; queue.next(self, &vm);) report.vms[vm] = run_one_vm(vm);
+  // Workers claim VM ids in order from one shared counter, so an idle worker
+  // always takes the next unclaimed VM. No result-sink lock: report.vms is
+  // pre-sized and each id is claimed exactly once, so workers move results
+  // into disjoint slots; the pool join below is the happens-before edge that
+  // publishes them to the caller (the TSan tier keeps this honest).
+  std::atomic<u32> next_vm{0};
+  auto worker = [&] {
+    for (u32 vm = next_vm++; vm < vms; vm = next_vm++)
+      report.vms[vm] = run_one_vm(vm);
   };
   if (jobs <= 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(jobs);
-    for (u32 j = 0; j < jobs; ++j) pool.emplace_back(worker, j);
+    for (u32 j = 0; j < jobs; ++j) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
-  report.steals = queue.stolen();
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

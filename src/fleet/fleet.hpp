@@ -3,21 +3,21 @@
 //
 // Thread model: each worker owns the full stack of the VM it is currently
 // running — Machine, vCPU, MMU, engine, OS runtime — so the simulation hot
-// path takes no locks. VM ids are claimed through a work-stealing scheduler
-// (per-worker deques, steal-half; see work_steal.hpp); results land in
-// disjoint pre-sized report slots with the pool join as the publishing edge,
-// so there is no result-sink lock. The only cross-worker state is the shared
+// path takes no locks. Workers claim VM ids in order from one shared atomic
+// counter (one RMW per VM, against a VM run of milliseconds), so an idle
+// worker always takes the next unclaimed VM; results land in disjoint
+// pre-sized report slots with the pool join as the publishing edge, so there
+// is no result-sink lock. The only other cross-worker state is the shared
 // store's page refcounts — cache-line-isolated atomics that each VM batches
-// locally and flushes at boot-settle/teardown (see HostMemory) — and the
-// scheduler deques. Private frame storage comes from thread-local page
-// arenas, keeping the global allocator off the VM hot path. The obs
-// recorder/metrics registries are thread-local, so tracing one VM never
-// races another.
+// locally and flushes at boot-settle/teardown (see HostMemory). Private
+// frame storage comes from thread-local page arenas, keeping the global
+// allocator off the VM hot path. The obs recorder/metrics registries are
+// thread-local, so tracing one VM never races another.
 //
 // Determinism contract (extends PR 4's across threads): a VM's simulation
 // depends only on (shared image, app, iterations, budget) — never on which
-// worker ran it or what ran before it on that worker (the thread-local
-// metrics registry is reset per VM). The report is keyed by VM id, so
+// worker ran it or what ran before it on that worker (each VM runs against
+// an empty thread-local metrics registry). The report is keyed by VM id, so
 // FleetReport::to_json() and merged_trace() are byte-identical for any
 // --jobs value; the fleet determinism test asserts this at jobs 1/4/8.
 #pragma once
@@ -44,7 +44,7 @@ class GuestSystem;
 namespace fc::fleet {
 
 /// Caps on a fleet's shape; the tools reject a larger --vms or worker count
-/// before building anything.
+/// before building anything, and FleetRunner::run refuses one.
 inline constexpr u32 kMaxVms = 4096;
 inline constexpr u32 kMaxWorkers = 256;
 
@@ -65,8 +65,7 @@ struct FleetOptions {
   /// Uneven workloads: when non-empty, VM i runs iteration_mix[i % size]
   /// iterations instead of `iterations`. Part of the determinism key (a
   /// VM's work depends on its id, never on scheduling), so reports stay
-  /// byte-identical across --jobs while the per-VM runtimes diverge — the
-  /// shape that makes work stealing observable.
+  /// byte-identical across --jobs while the per-VM runtimes diverge.
   std::vector<u32> iteration_mix;
   Cycles run_budget = 300'000'000;
   /// Per-VM app assignment, round-robin; empty = the image's view order.
@@ -128,8 +127,9 @@ struct FleetReport {
   /// Wall-clock duration of the run; intentionally NOT part of to_json()
   /// (the deterministic report must not depend on scheduling).
   double wall_seconds = 0.0;
-  /// VM ids migrated between workers by the work-stealing scheduler.
-  /// Scheduling telemetry — like wall_seconds, excluded from to_json().
+  /// Always 0: VM ids come from one shared counter, so no VM ever moves
+  /// between workers. Kept only because hostbench's `fleet.steals` metric
+  /// reads it; goes when that metric does. Excluded from to_json().
   u64 steals = 0;
 
   u64 total_instructions() const;
@@ -169,6 +169,8 @@ class FleetRunner {
   /// `image` must outlive the runner and every run() call.
   FleetRunner(const core::SharedImage& image, FleetOptions options);
 
+  /// Run every VM once. Aborts (FC_CHECK) on a shape fleet_shape_error
+  /// rejects, before any worker starts.
   FleetReport run();
 
  private:

@@ -56,7 +56,6 @@ bool Vcpu::deliver_interrupt(u8 vector, bool hardware) {
     return false;
   }
   end_block(regs_.pc);
-  if (trace_ != nullptr) trace_->on_interrupt(vector, hardware);
   FC_TRACE_EVENT(kInterrupt, hardware ? 1 : 0, 0, vector, regs_.pc, 0, 0);
 
   u32 flags = FlagsWord::pack(regs_.mode, regs_.zf, regs_.interrupts_enabled);

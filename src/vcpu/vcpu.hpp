@@ -86,8 +86,6 @@ class TraceSink {
   virtual ~TraceSink() = default;
   /// A dynamic basic block [start, end) finished executing.
   virtual void on_block(GVirt start, GVirt end) = 0;
-  /// An interrupt/exception was delivered (vector as seen by the IDT).
-  virtual void on_interrupt(u8 vector, bool hardware) = 0;
 };
 
 /// Execution tier a sample was taken in (numerically matched to

@@ -8,11 +8,9 @@
 // 1/4/8).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 
 #include "fleet/fleet.hpp"
-#include "fleet/work_steal.hpp"
 #include "harness/harness.hpp"
 #include "mem/shared_frames.hpp"
 #include "obs/trace.hpp"
@@ -273,39 +271,28 @@ TEST(FleetTrace, ContainerRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing scheduler.
+// Scheduling.
 // ---------------------------------------------------------------------------
 
-TEST(WorkStealing, SingleThiefDrainsEveryItemExactlyOnce) {
-  // Worker 2 never touches its own seed through next(0): everything worker
-  // 0 gets beyond its own chunk arrives by steal-half.
-  WorkStealingQueues queue(3, 10);
-  std::vector<u32> claimed;
-  for (u32 item = 0; queue.next(0, &item);) claimed.push_back(item);
-  ASSERT_EQ(claimed.size(), 10u);
-  std::vector<u32> sorted = claimed;
-  std::sort(sorted.begin(), sorted.end());
-  for (u32 i = 0; i < 10; ++i) EXPECT_EQ(sorted[i], i);  // each exactly once
-  EXPECT_GT(queue.stolen(), 0u);
-  u32 ignored = 0;
-  EXPECT_FALSE(queue.next(1, &ignored));  // nothing left for anyone
-}
-
-TEST(FleetWorkStealing, UnevenFleetMatchesSerialRunByteForByte) {
+TEST(FleetScheduler, UnevenFleetMatchesSerialRunByteForByte) {
   const core::SharedImage& image = test_image();
   FleetOptions options;
-  options.vms = 13;  // does not divide 5: uneven chunks force steals
+  // 13 VMs of uneven length over 5 workers: the workers finish at different
+  // times and claim different numbers of VMs, yet every VM must run exactly
+  // once and the report must not depend on who ran what.
+  options.vms = 13;
   options.jobs = 5;
-  options.iterations = 1;
-  FleetReport stolen = FleetRunner(image, options).run();
-  ASSERT_EQ(stolen.vms.size(), 13u);
+  options.iteration_mix = {2, 1, 1};
+  FleetReport parallel = FleetRunner(image, options).run();
+  ASSERT_EQ(parallel.vms.size(), 13u);
   for (u32 i = 0; i < 13; ++i) {
-    EXPECT_EQ(stolen.vms[i].vm, i) << "vm " << i << " never ran";
-    EXPECT_GT(stolen.vms[i].instructions, 0u);
+    EXPECT_EQ(parallel.vms[i].vm, i) << "vm " << i << " never ran";
+    EXPECT_GT(parallel.vms[i].instructions, 0u);
   }
+  EXPECT_EQ(parallel.steals, 0u);
   options.jobs = 1;
   FleetReport serial = FleetRunner(image, options).run();
-  EXPECT_EQ(serial.to_json(), stolen.to_json());
+  EXPECT_EQ(serial.to_json(), parallel.to_json());
 }
 
 // ---------------------------------------------------------------------------
@@ -340,6 +327,9 @@ TEST(FleetRecorder, CallerRecorderSurvivesInlineVmRuns) {
   rec.emit(obs::EventKind::kTaskSpawn, 0, 0, 7, 0, 0, 0);
   const std::size_t events_before = rec.size();
   ASSERT_EQ(events_before, 1u);
+  // A histogram already in this thread's metrics registry (the caller's, or
+  // one an earlier VM on this worker created) is not the VMs' business.
+  obs::metrics().observe("test.caller_histogram", 7);
 
   // jobs=1 runs both VMs on THIS thread; without the quarantine their boot
   // and runtime events would land in (and overflow) the caller's ring.
@@ -352,7 +342,13 @@ TEST(FleetRecorder, CallerRecorderSurvivesInlineVmRuns) {
   for (const VmResult& vm : report.vms) {
     EXPECT_GT(vm.instructions, 0u);
     EXPECT_TRUE(vm.trace.empty());
+    EXPECT_EQ(vm.metrics_json.find("test.caller_histogram"), std::string::npos)
+        << "vm " << vm.vm;
   }
+  const obs::Histogram* caller_hist =
+      obs::metrics().find_histogram("test.caller_histogram");
+  ASSERT_NE(caller_hist, nullptr);  // the caller's registry comes back
+  EXPECT_EQ(caller_hist->count, 1u);
 
   EXPECT_TRUE(rec.capturing());          // capture resumed...
   EXPECT_EQ(rec.size(), events_before);  // ...with no fleet events absorbed

@@ -127,6 +127,24 @@ TEST(FleetShape, CapsVmsAndResolvedWorkers) {
       fleet::fleet_shape_error(fleet::kMaxVms, fleet::kMaxWorkers + 1).empty());
 }
 
+TEST(FleetShape, RunnerRefusesAShapeOverTheCaps) {
+  // A library caller that skips fleet_shape_error still cannot start a
+  // worker per VM past the cap: run() aborts before any thread exists.
+  EXPECT_DEATH(
+      {
+        harness::SharedImageOptions image_options;
+        image_options.apps = {"gzip"};
+        image_options.profile_iterations = 1;
+        image_options.with_static_audit = false;
+        auto image = harness::build_shared_image(image_options);
+        fleet::FleetOptions options;
+        options.vms = fleet::kMaxWorkers + 1;
+        options.jobs = 0;
+        (void)fleet::FleetRunner(*image, options).run();
+      },
+      "over the cap of 256");
+}
+
 TEST(Support, RngIsDeterministicAndBounded) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) {

@@ -5,10 +5,11 @@
 #   tools/ci.sh sanitize    sanitizer tier: same suite under ASan + UBSan
 #   tools/ci.sh tsan        ThreadSanitizer tier: the fleet determinism and
 #                           COW isolation tests under -fsanitize=thread
-#                           (workers share refcounts, the result sink and
-#                           the image's decode memo), plus the block-cache
+#                           (workers share refcounts, the VM-id counter,
+#                           the report slots and the image's decode memo),
+#                           plus the block-cache
 #                           suite (with a four-thread DecodeMemo case)
-#   tools/ci.sh bench-smoke interpreter-throughput + fleet-scaling smoke
+#   tools/ci.sh bench-smoke interpreter-throughput + fleet-economics smoke
 #                           runs under ASan (exercises the uncached and
 #                           block tiers and the COW fleet end to end; tiny
 #                           budgets, no thresholds), then the release bench
@@ -17,8 +18,9 @@
 #                           the host-time benchmark's smoke test
 #                           (hostbench/smoke_test.py)
 #   tools/ci.sh fleet-scale-smoke
-#                           determinism gate for the work-stealing fleet
-#                           scheduler: bench/fleet_scale --smoke must emit
+#                           fleet determinism gate (the report must not
+#                           depend on which worker ran which VM):
+#                           bench/fleet_scale --smoke must emit
 #                           byte-identical 8-VM report JSON + merged FCFL
 #                           traces for jobs 1/4/8, and bench/fleet_http
 #                           --smoke the same for the IO-heavy HTTP fleet
