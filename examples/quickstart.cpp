@@ -56,7 +56,10 @@ int main() {
   harness::GuestSystem sys;
   core::FaceChangeEngine engine(sys.hv(), sys.os().kernel());
   engine.enable();
-  u32 view = engine.load_view(core::KernelViewConfig::parse(config_file));
+  std::optional<core::KernelViewConfig> loaded =
+      core::KernelViewConfig::parse(config_file);
+  if (!loaded) return 1;  // our own serialize() output always parses
+  u32 view = engine.load_view(*loaded);
   engine.bind("top", view);
 
   apps::AppScenario scenario = apps::make_app("top", 20);

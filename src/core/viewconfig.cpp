@@ -1,9 +1,9 @@
 #include "core/viewconfig.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
-
-#include "support/check.hpp"
+#include <string_view>
 
 namespace fc::core {
 
@@ -28,13 +28,33 @@ std::string KernelViewConfig::serialize() const {
   return out.str();
 }
 
-KernelViewConfig KernelViewConfig::parse(const std::string& text) {
+namespace {
+
+/// `token` as a 32-bit address: "0x" and then hex digits, nothing else.
+std::optional<u32> parse_hex32(std::string_view token) {
+  if (token.size() <= 2 || token.substr(0, 2) != "0x") return {};
+  u32 value = 0;
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data() + 2, last, value, 16);
+  if (ec != std::errc{} || ptr != last) return {};
+  return value;
+}
+
+}  // namespace
+
+std::optional<KernelViewConfig> KernelViewConfig::parse(
+    const std::string& text, ViewConfigError* error) {
   KernelViewConfig cfg;
   std::istringstream in(text);
   std::string line;
-  RangeList* target = &cfg.base;
-  bool base_section = false;
+  u32 line_no = 0;
+  RangeList* target = nullptr;
+  auto reject = [&](std::string reason) -> std::optional<KernelViewConfig> {
+    if (error != nullptr) *error = {line_no, std::move(reason)};
+    return std::nullopt;
+  };
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     if (line.rfind("app ", 0) == 0) {
       cfg.app_name = line.substr(4);
@@ -42,21 +62,27 @@ KernelViewConfig KernelViewConfig::parse(const std::string& text) {
     }
     if (line == "[base]") {
       target = &cfg.base;
-      base_section = true;
       continue;
     }
     if (line.rfind("[module ", 0) == 0) {
-      FC_CHECK(line.back() == ']', << "malformed section: " << line);
+      if (line.back() != ']') return reject("malformed section: " + line);
       std::string name = line.substr(8, line.size() - 9);
+      if (name.empty()) return reject("empty module name");
       target = &cfg.modules[name];
-      base_section = true;
       continue;
     }
-    FC_CHECK(base_section, << "range before any section: " << line);
-    unsigned begin = 0, end = 0;
-    FC_CHECK(std::sscanf(line.c_str(), "0x%x 0x%x", &begin, &end) == 2,
-             << "malformed range line: " << line);
-    target->insert(begin, end);
+    if (target == nullptr) return reject("range before any section: " + line);
+    std::istringstream fields(line);
+    std::string begin_text, end_text, extra;
+    if (!(fields >> begin_text >> end_text) || (fields >> extra))
+      return reject("want two addresses '0xBEGIN 0xEND': " + line);
+    const std::optional<u32> begin = parse_hex32(begin_text);
+    const std::optional<u32> end = parse_hex32(end_text);
+    if (!begin || !end)
+      return reject("not a 32-bit 0x-hex address: " +
+                    (begin ? end_text : begin_text));
+    if (*begin >= *end) return reject("empty or inverted range: " + line);
+    target->insert(*begin, *end);
   }
   return cfg;
 }

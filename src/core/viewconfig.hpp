@@ -5,11 +5,19 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "core/rangelist.hpp"
 
 namespace fc::core {
+
+/// Why KernelViewConfig::parse rejected a file: its 1-based line number and
+/// a one-line reason.
+struct ViewConfigError {
+  u32 line = 0;
+  std::string reason;
+};
 
 struct KernelViewConfig {
   std::string app_name;
@@ -54,7 +62,13 @@ struct KernelViewConfig {
 
   /// Text serialization (one range per line, sectioned by type).
   std::string serialize() const;
-  static KernelViewConfig parse(const std::string& text);
+  /// Parse a view file. Files are outside input, so every line is checked:
+  /// a range line is exactly two whole "0x" hex tokens, each at most 32
+  /// bits, with begin < end, inside a [base] or non-empty [module NAME]
+  /// section, with nothing trailing. A rejected file yields nullopt and,
+  /// when `error` is given, the first bad line and why.
+  static std::optional<KernelViewConfig> parse(
+      const std::string& text, ViewConfigError* error = nullptr);
 
   bool operator==(const KernelViewConfig& other) const {
     return app_name == other.app_name && base == other.base &&

@@ -19,10 +19,8 @@ BlockCache::Fetched BlockCache::fetch(mem::HostMemory& host,
   // Straight-line cursor: the previous instruction fell through to exactly
   // this (va, frame) and the frame's bytes are unchanged since the decode.
   if (cur_insns_ != nullptr && cur_va_ == va && cur_frame_ == frame &&
-      cur_gen_ == gen(frame)) {
-    ++stats_.insn_hits;
-    return {&cur_insns_[cur_idx_], 0};
-  }
+      cur_gen_ == gen(frame))
+    return {{cur_insns_ + cur_idx_, cur_count_ - cur_idx_}, 0};
   cur_insns_ = nullptr;
 
   const u64 key = block_key(frame, offset);
@@ -41,14 +39,13 @@ BlockCache::Fetched BlockCache::fetch(mem::HostMemory& host,
     block = build(host, frame, offset);
     if (block == nullptr) {
       ++stats_.uncacheable;
-      return {nullptr, 0};
+      return {};
     }
     decoded = static_cast<u32>(block->insns.size());
     if (decoded > 0) FC_TRACE_EVENT(kBlockBuild, 0, 0, va, decoded, frame, 0);
   }
   set_cursor(*block, va);
-  ++stats_.insn_hits;
-  return {&cur_insns_[0], decoded};
+  return {block->insns, decoded};
 }
 
 const DecodedBlock* BlockCache::build(mem::HostMemory& host,

@@ -1,7 +1,8 @@
 // Decoded basic-block cache (the interpreter's answer to QEMU's translation
-// blocks): Vcpu::step normally pays an Mmu::fetch plus a fresh isa::decode
-// for every instruction; this cache builds each basic block once and replays
-// the pre-decoded instructions until the underlying code bytes change.
+// blocks): the uncached interpreter pays an Mmu::fetch plus a fresh
+// isa::decode for every instruction; this cache builds each basic block once
+// and replays the pre-decoded instructions until the underlying code bytes
+// change.
 //
 // Keying and invalidation are what make this safe under FACE-CHANGE:
 //
@@ -55,7 +56,8 @@ namespace fc::cpu {
 
 /// The page-tail region, where fewer than kMaxInstructionLength bytes
 /// remain: a fetch from here probes (and may charge a miss on) the next
-/// page, so the block tier leaves these instructions to step().
+/// page, so Vcpu::run translates for every instruction here and batches
+/// stop short of it.
 inline bool in_page_tail(GVirt va) {
   return kPageSize - page_offset(va) < isa::kMaxInstructionLength;
 }
@@ -76,7 +78,8 @@ class BlockCache final : public mem::CodeWriteSink {
   static constexpr u32 kTableSize = 1u << 17;  // power of two, > 2x blocks
 
   struct Stats {
-    u64 insn_hits = 0;      // instructions served from a decoded block
+    // Instructions served from a decoded block (note_hit, advance_run).
+    u64 insn_hits = 0;
     u64 block_misses = 0;   // lookups that had to (re)build
     u64 blocks_built = 0;
     // Instructions in the blocks built: the simulated decode-cost basis
@@ -99,7 +102,9 @@ class BlockCache final : public mem::CodeWriteSink {
   };
 
   struct Fetched {
-    const isa::Instruction* insn = nullptr;  // nullptr → take the slow path
+    // The block's instructions from the fetched one to its end, as
+    // cursor_run returns them; empty → take the uncached path.
+    std::span<const isa::Instruction> run;
     u32 insns_decoded = 0;  // instructions in the block this call built
   };
 
@@ -109,14 +114,17 @@ class BlockCache final : public mem::CodeWriteSink {
       : own_memo_(memo == nullptr ? std::make_unique<DecodeMemo>() : nullptr),
         memo_(memo == nullptr ? own_memo_.get() : memo) {}
 
-  /// Return the decoded instruction at (frame, offset) — which the caller
-  /// has already resolved via the MMU for `va` — building a block if needed.
-  /// A cursor tracks straight-line execution so the common case is a single
-  /// generation compare. Never consults guest translations itself.
+  /// Return the decoded instructions from (frame, offset) — which the caller
+  /// has already resolved via the MMU for `va` — to the end of their block,
+  /// building the block if needed, and park the cursor there. When the
+  /// cursor already sits on (va, frame) it is served without a table probe:
+  /// a mid-block lookup would build a new block starting at `va`. Never
+  /// consults guest translations itself. Counts no hits: the caller reports
+  /// what it serves with note_hit or advance_run.
   Fetched fetch(mem::HostMemory& host, HostFrame frame, u32 offset,
                 GVirt va);
 
-  /// The caller executed the instruction fetch() returned and the next pc is
+  /// The caller executed the cursor's instruction and the next pc is
   /// `next_va`: advance the cursor if execution fell through, drop it
   /// otherwise (branch, interrupt, fault).
   void advance(GVirt next_va) {
@@ -130,7 +138,7 @@ class BlockCache final : public mem::CodeWriteSink {
     }
   }
 
-  /// Straight-line fast path for the vCPU's block-tail loop: if the cursor
+  /// Straight-line fast path for the vCPU's dispatch loop: if the cursor
   /// sits exactly on `pc` and the frame's bytes are unchanged since the
   /// decode, the block's instructions from the cursor to its end, with no
   /// table lookup; otherwise an empty span. The caller must already have
@@ -143,10 +151,10 @@ class BlockCache final : public mem::CodeWriteSink {
       return {};
     return {cur_insns_ + cur_idx_, cur_count_ - cur_idx_};
   }
-  /// The caller serves cursor_run's first instruction on its own (advance
-  /// follows its execution).
+  /// The caller serves the run's first instruction (from fetch or
+  /// cursor_run) on its own; advance follows its execution.
   void note_hit() { ++stats_.insn_hits; }
-  /// The caller retired cursor_run's first `n` instructions as one batch
+  /// The caller retired the run's first `n` instructions as one batch
   /// and fell through to `next_va`: the same hits and cursor move as `n`
   /// note_hit/advance pairs.
   void advance_run(u32 n, GVirt next_va) {

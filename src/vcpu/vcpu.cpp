@@ -80,94 +80,6 @@ bool Vcpu::deliver_interrupt(u8 vector, bool hardware) {
   return true;
 }
 
-Vcpu::CachedFetch Vcpu::cached_fetch() {
-  mem::Mmu& mmu = machine_->mmu();
-  const GVirt pc = regs_.pc;
-  auto frame = mmu.translate_page(page_base(pc));
-  if (!frame) return {nullptr, true};
-  // TLB parity with the slow path: Mmu::fetch(pc, ..., 7) also probes the
-  // following page whenever fewer than 7 bytes remain in this one, and that
-  // probe's TLB misses are charged cycles. Simulated time feeds back into
-  // guest state (rdtsc, interrupt release times), so the cached path must
-  // issue the exact same translation sequence.
-  if (in_page_tail(pc))
-    (void)mmu.translate_page(page_base(pc) + kPageSize);
-  BlockCache::Fetched fetched =
-      block_cache_.fetch(machine_->host(), *frame, page_offset(pc), pc);
-  if (fetched.insns_decoded != 0)
-    cycles_ += static_cast<Cycles>(fetched.insns_decoded) * perf_.cost_decode;
-  // Snapshot the translation state the fetch ran under; while it is
-  // unchanged, run_cached_tail may serve straight-line instructions from
-  // this page without re-translating (the lookup would provably hit).
-  fetch_tlb_version_ = mmu.fill_version();
-  fetch_ept_gen_ = mmu.ept().generation();
-  return {fetched.insn, false};
-}
-
-Exit Vcpu::step() {
-  mem::Mmu& mmu = machine_->mmu();
-  // The baseline this instruction's walks are charged against: its fetch
-  // translation and every data access after it.
-  const u64 misses_before = mmu.stats().tlb_misses;
-
-  // Re-detect deferred ("missed") interrupt edges once their release time
-  // passes.
-  if (deferred_irqs_ != 0 && cycles_ >= irq_release_at_) {
-    pending_irqs_ |= deferred_irqs_;
-    deferred_irqs_ = 0;
-  }
-  // Deliver one pending IRQ if the guest will take it.
-  if (pending_irqs_ != 0 && regs_.interrupts_enabled) {
-    u8 line = 0;
-    while (!(pending_irqs_ & (1u << line))) ++line;
-    pending_irqs_ &= ~(1u << line);
-    deliver_interrupt(static_cast<u8>(32 + line), /*hardware=*/true);
-    return {ExitReason::kNone, regs_.pc};
-  }
-
-  // Execution breakpoints (FACE-CHANGE's context-switch / resume traps).
-  if (regs_.pc == suppress_bp_at_) {
-    suppress_bp_at_ = 0xFFFFFFFFu;
-  } else if (!breakpoints_.empty() && has_breakpoint(regs_.pc)) {
-    end_block(regs_.pc);
-    return {ExitReason::kBreakpoint, regs_.pc};
-  }
-
-  // Fast path: serve the pre-decoded instruction at pc from the block
-  // cache; fall back to fetch+decode when nothing cacheable is there.
-  isa::DecodeResult dec;
-  const isa::Instruction* fetched = nullptr;
-  if (block_cache_enabled_) {
-    CachedFetch cached = cached_fetch();
-    if (cached.fetch_fault) {
-      end_block(regs_.pc);
-      return {ExitReason::kFetchFault, regs_.pc};
-    }
-    fetched = cached.insn;
-  }
-  if (fetched == nullptr) {
-    u8 window[isa::kMaxInstructionLength];
-    u32 got = mmu.fetch(regs_.pc, window, isa::kMaxInstructionLength);
-    if (got == 0) {
-      end_block(regs_.pc);
-      return {ExitReason::kFetchFault, regs_.pc};
-    }
-    dec = isa::decode({window, got});
-    if (!dec.ok()) {
-      // Both genuinely-invalid bytes and UD2 arrive here (UD2 decodes but is
-      // the architectural invalid-opcode instruction).
-      end_block(regs_.pc);
-      return {ExitReason::kInvalidOpcode, regs_.pc};
-    }
-    cycles_ += perf_.cost_decode;
-    fetched = &dec.insn;
-    exec_tier_ = kTierInterp;
-  } else {
-    exec_tier_ = kTierBlock;
-  }
-  return exec_insn(*fetched, misses_before);
-}
-
 // ---------------------------------------------------------------------------
 // Instruction semantics. exec_insn (the uncached and block tiers) and the
 // block tier's simple-op batches execute these same helpers on the same
@@ -287,30 +199,22 @@ u64 Vcpu::retire(u32 cost, u64 miss_baseline, u64 count) {
   return misses;
 }
 
-bool Vcpu::guard(GVirt pc) {
-  mem::Mmu& mmu = machine_->mmu();
-  return (deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
-         (pending_irqs_ != 0 && regs_.interrupts_enabled) ||
-         pc == suppress_bp_at_ ||
-         (!breakpoints_.empty() && has_breakpoint(pc)) ||
-         mmu.fill_version() != fetch_tlb_version_ ||
-         mmu.ept().generation() != fetch_ept_gen_;
-}
-
-Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
+Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before,
+                     u8 tier) {
   // One exec_op instance per isa::Op (kOpTable has a row for each).
-  using ExecOp = Exit (Vcpu::*)(const isa::Instruction&, u64);
+  using ExecOp = Exit (Vcpu::*)(const isa::Instruction&, u64, u8);
   static constexpr auto kExecOps =
       []<std::size_t... I>(std::index_sequence<I...>) {
         return std::array<ExecOp, sizeof...(I)>{
             &Vcpu::exec_op<static_cast<Op>(I)>...};
       }(std::make_index_sequence<kOpTable.size()>{});
-  return (this->*kExecOps[static_cast<std::size_t>(insn.op)])(insn,
-                                                             misses_before);
+  return (this->*kExecOps[static_cast<std::size_t>(insn.op)])(
+      insn, misses_before, tier);
 }
 
 template <isa::Op kOp>
-Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before) {
+Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before,
+                   u8 tier) {
   // UD2 and the privilege checks for simulator instructions trap without
   // retiring.
   if (kOp == Op::kUd2 ||
@@ -481,15 +385,15 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before) {
   // Sampling profiler boundary: one always-false compare when detached
   // (sample_at_ parks at ~0), attributed to the retired instruction and the
   // tier that fetched it.
-  if (cycles_ >= sample_at_) take_sample(pc, exec_tier_);
+  if (cycles_ >= sample_at_) take_sample(pc, tier);
   return pending_exit;
 }
 
 void Vcpu::run_block_batch(std::span<const isa::Instruction> run,
                            u64 budget_end) {
   const GVirt head = regs_.pc;
-  // The head passed the guard. Later ops stop short of the page-tail region
-  // (step() probes the next page there) and of any breakpoint or armed
+  // run() checked the head. Later ops stop short of the page-tail region
+  // (run() probes the next page there) and of any breakpoint or armed
   // suppress-once. Ops ascend within the block, so one bound covers them
   // all; a breakpoint between op starts only ends the batch early.
   GVirt stop = page_base(head) + kPageSize - (isa::kMaxInstructionLength - 1);
@@ -530,46 +434,95 @@ void Vcpu::run_block_batch(std::span<const isa::Instruction> run,
   if (cycles_ >= sample_at_) take_sample(last, kTierBlock);
 }
 
-Exit Vcpu::run_cached_tail(u64 budget_end) {
+Exit Vcpu::run(u64 max_instructions) {
   mem::Mmu& mmu = machine_->mmu();
-  exec_tier_ = kTierBlock;  // every instruction here comes from the cursor
+  const u64 budget_end = instructions_ + max_instructions;
+  auto stop = [this](ExitReason reason, GVirt at) -> Exit {
+    end_block(at);
+    return {reason, at};
+  };
   while (instructions_ < budget_end) {
-    const GVirt pc = regs_.pc;
-    // Anything that could alter behaviour sends us back to step(), which
-    // handles it exactly as the uncached interpreter would: the guard's
-    // IRQ / breakpoint conditions, a changed TLB or EPT since the last
-    // cached_fetch (the code-page translation may now miss and must be
-    // re-run and charged), and the page-tail region where the slow path
-    // would probe the next page. A code write is caught by cursor_run's
-    // generation compare.
-    if (in_page_tail(pc) || guard(pc)) break;
-    const std::span<const isa::Instruction> run = block_cache_.cursor_run(pc);
-    if (run.empty()) break;
-    if (is_simple(lower_insn(run[0].op, run[0], pc).kind)) {
-      run_block_batch(run, budget_end);
+    // The baseline this instruction's walks are charged against: its fetch
+    // translation and every data access after it.
+    const u64 misses_before = mmu.stats().tlb_misses;
+
+    // Re-detect deferred ("missed") interrupt edges once their release time
+    // passes, then deliver one pending IRQ if the guest will take it.
+    if (deferred_irqs_ != 0 && cycles_ >= irq_release_at_) {
+      pending_irqs_ |= deferred_irqs_;
+      deferred_irqs_ = 0;
+    }
+    if (pending_irqs_ != 0 && regs_.interrupts_enabled) {
+      u8 line = 0;
+      while (!(pending_irqs_ & (1u << line))) ++line;
+      pending_irqs_ &= ~(1u << line);
+      deliver_interrupt(static_cast<u8>(32 + line), /*hardware=*/true);
       continue;
     }
-    block_cache_.note_hit();
-    Exit exit = exec_insn(run[0], mmu.stats().tlb_misses);
-    if (exit.reason != ExitReason::kNone) return exit;
-  }
-  return {ExitReason::kNone, regs_.pc};
-}
 
-Exit Vcpu::run(u64 max_instructions) {
-  const u64 budget_end = instructions_ + max_instructions;
-  while (true) {
-    if (instructions_ >= budget_end) {
-      end_block(regs_.pc);
-      return {ExitReason::kInstructionLimit, regs_.pc};
+    // Execution breakpoints (FACE-CHANGE's context-switch / resume traps).
+    const GVirt pc = regs_.pc;
+    if (pc == suppress_bp_at_) {
+      suppress_bp_at_ = 0xFFFFFFFFu;
+    } else if (!breakpoints_.empty() && has_breakpoint(pc)) {
+      return stop(ExitReason::kBreakpoint, pc);
     }
-    Exit exit = step();
+
+    // Block tier: the rest of the decoded block at pc. The cursor serves
+    // straight-line execution without a lookup while the translation state
+    // is what the last block fetch ran under (the code-page translation
+    // would provably hit) and pc is outside the page tail. Otherwise
+    // translate exactly as Mmu::fetch(pc, ..., kMaxInstructionLength) would
+    // — including its probe of the next page from the page tail, whose
+    // misses are charged — so simulated time, which feeds guest state
+    // (rdtsc, IRQ release), matches the uncached interpreter.
+    std::span<const isa::Instruction> block;
+    if (block_cache_enabled_) {
+      if (!in_page_tail(pc) && mmu.fill_version() == fetch_tlb_version_ &&
+          mmu.ept().generation() == fetch_ept_gen_)
+        block = block_cache_.cursor_run(pc);
+      if (block.empty()) {
+        const auto frame = mmu.translate_page(page_base(pc));
+        if (!frame) return stop(ExitReason::kFetchFault, pc);
+        if (in_page_tail(pc))
+          (void)mmu.translate_page(page_base(pc) + kPageSize);
+        const BlockCache::Fetched fetched =
+            block_cache_.fetch(machine_->host(), *frame, page_offset(pc), pc);
+        cycles_ += static_cast<Cycles>(fetched.insns_decoded) *
+                   perf_.cost_decode;
+        fetch_tlb_version_ = mmu.fill_version();
+        fetch_ept_gen_ = mmu.ept().generation();
+        block = fetched.run;
+      }
+    }
+
+    Exit exit;
+    if (!block.empty()) {
+      // A simple op starts a batch unless its own fetch walked the page
+      // tables: a batch charges cost_default per op and nothing else, so
+      // that walk would shift where a sample or IRQ release falls.
+      if (is_simple(lower_insn(block[0].op, block[0], pc).kind) &&
+          mmu.stats().tlb_misses == misses_before) {
+        run_block_batch(block, budget_end);
+        continue;
+      }
+      block_cache_.note_hit();
+      exit = exec_insn(block[0], misses_before, kTierBlock);
+    } else {
+      // Uncached: fetch and decode afresh (also where nothing is cacheable).
+      u8 window[isa::kMaxInstructionLength];
+      const u32 got = mmu.fetch(pc, window, isa::kMaxInstructionLength);
+      if (got == 0) return stop(ExitReason::kFetchFault, pc);
+      // Both genuinely-invalid bytes and UD2 fail here (UD2 decodes but is
+      // the architectural invalid-opcode instruction).
+      const isa::DecodeResult dec = isa::decode({window, got});
+      if (!dec.ok()) return stop(ExitReason::kInvalidOpcode, pc);
+      cycles_ += perf_.cost_decode;
+      exit = exec_insn(dec.insn, misses_before, kTierInterp);
+    }
     if (exit.reason != ExitReason::kNone) return exit;
-    if (block_cache_enabled_ && instructions_ < budget_end) {
-      exit = run_cached_tail(budget_end);
-      if (exit.reason != ExitReason::kNone) return exit;
-    }
   }
+  return stop(ExitReason::kInstructionLimit, regs_.pc);
 }
 
 }  // namespace fc::cpu

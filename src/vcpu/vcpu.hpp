@@ -161,8 +161,8 @@ class Vcpu {
   Cycles sample_period() const { return sample_period_; }
 
   /// The decoded basic-block cache (on by default). Disabling drops every
-  /// cached block and makes step() decode each instruction afresh — the
-  /// `--no-block-cache` baseline.
+  /// cached block and makes run() fetch and decode each instruction afresh
+  /// — the `--no-block-cache` baseline and the lockstep reference.
   void set_block_cache_enabled(bool on) {
     if (!on) block_cache_.clear();
     block_cache_enabled_ = on;
@@ -217,7 +217,11 @@ class Vcpu {
   void suppress_breakpoint_once() { suppress_bp_at_ = regs_.pc; }
 
   /// Run until a VM exit or until `max_instructions` more instructions
-  /// retire.
+  /// retire. The one dispatch loop: each iteration releases deferred IRQs
+  /// or delivers a pending one, checks breakpoints, fetches (the block
+  /// cache's cursor, a block lookup, or the uncached fetch+decode) and
+  /// executes one op or a batch of simple ones, charging the TLB walks its
+  /// fetch and execution take.
   Exit run(u64 max_instructions);
 
   /// Deliver an interrupt/exception through the IDT right now (microcode).
@@ -228,34 +232,26 @@ class Vcpu {
   bool deliver_interrupt(u8 vector, bool hardware);
 
  private:
-  /// Exactly one instruction (or pending-IRQ delivery), charging the TLB
-  /// walks its fetch and execution take.
-  Exit step();
   /// Execute one already-fetched instruction: trace-block bookkeeping, the
   /// lowered op through the shared semantic helpers, and retire() against
-  /// `misses_before`. UD2 / privilege traps return without retiring.
-  /// Dispatches to the exec_op instance for insn.op.
-  Exit exec_insn(const isa::Instruction& insn, u64 misses_before);
+  /// `misses_before`; a sample it reaches is attributed to `tier`. UD2 /
+  /// privilege traps return without retiring. Dispatches to the exec_op
+  /// instance for insn.op.
+  Exit exec_insn(const isa::Instruction& insn, u64 misses_before, u8 tier);
   /// exec_insn for one opcode: with the op a compile-time constant, the
   /// kOpTable lowering and the micro-op switch fold away.
   template <isa::Op kOp>
-  Exit exec_op(const isa::Instruction& insn, u64 misses_before);
-  /// Straight-line continuation inside the current cached block: retire
-  /// instructions directly from the cursor while nothing that could change
-  /// behaviour (IRQs, breakpoints, TLB fills, frame writes, page-end fetch
-  /// probes) is in play, bailing back to step() the moment anything is. A
-  /// simple op at the cursor starts a batch (run_block_batch); any other op
-  /// runs through exec_insn.
-  Exit run_cached_tail(u64 budget_end);
-  /// The run of simple ops at the head of `run` (the cursor's rest of the
-  /// block, whose first op is simple and already guarded) as one batch: one
-  /// retire for all of them, then the sample the last op's retirement
-  /// reached, as per-op execution would have. It stops at the budget, right
+  Exit exec_op(const isa::Instruction& insn, u64 misses_before, u8 tier);
+  /// The run of simple ops at the head of `run` (the rest of the cached
+  /// block, whose first op is simple and already checked by run()) as one
+  /// batch: one retire for all of them, then the sample the last op's
+  /// retirement reached, as per-op execution would have. It stops at the
+  /// budget, right
   /// after the op whose retirement reaches the next sample or deferred-IRQ
   /// release, before any op in the page-tail region, at a breakpoint or the
   /// armed suppress-once, and at the first non-simple op. Simple ops cannot
-  /// move any other guard input (see UOp), so nothing else needs a per-op
-  /// check.
+  /// move anything else run() checks (see UOp), so nothing else needs a
+  /// per-op check.
   void run_block_batch(std::span<const isa::Instruction> run, u64 budget_end);
 
   // --- instruction semantics: one definition for both tiers ---------------
@@ -280,19 +276,6 @@ class Vcpu {
   [[gnu::always_inline]] inline u64 retire(u32 cost, u64 miss_baseline,
                                            u64 count = 1);
 
-  /// The block-tail loop's bail predicate, checked before an instruction at
-  /// `pc`: an IRQ due or deliverable, a breakpoint or armed suppress-once,
-  /// or translation drift since the last cached_fetch. Code writes are the
-  /// cursor's own generation compare.
-  [[gnu::always_inline]] inline bool guard(GVirt pc);
-  /// Resolve the instruction at regs_.pc through the block cache. Returns
-  /// nullptr in `insn` when the slow fetch+decode path must run; sets
-  /// `fetch_fault` when the pc's page is unmapped (a definitive exit).
-  struct CachedFetch {
-    const isa::Instruction* insn = nullptr;
-    bool fetch_fault = false;
-  };
-  CachedFetch cached_fetch();
   void end_block(GVirt end);
   /// Fire the pending sample(s): weight = whole periods crossed since
   /// sample_at_, advance sample_at_ past `cycles_`, notify the sink. Called
@@ -308,7 +291,6 @@ class Vcpu {
   SampleSink* sampler_ = nullptr;
   Cycles sample_period_ = 0;
   Cycles sample_at_ = kNeverSample;  // next sample boundary; ~0 = disabled
-  u8 exec_tier_ = kTierInterp;       // tier attribution for exec_insn samples
   PerfModel perf_;
 
   Cycles cycles_ = 0;
@@ -324,10 +306,10 @@ class Vcpu {
 
   BlockCache block_cache_;
   bool block_cache_enabled_ = true;
-  // Translation-state snapshot from the last cached_fetch(): while the
+  // Translation-state snapshot from the last BlockCache::fetch: while the
   // MMU's fill version and the EPT generation are unchanged, the code
   // page's translation is guaranteed to still hit (see Mmu::fill_version),
-  // so the block-tail loop may skip re-translating it.
+  // so run() may serve the cursor without re-translating it.
   u64 fetch_tlb_version_ = 0;
   u64 fetch_ept_gen_ = 0;
 

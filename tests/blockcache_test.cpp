@@ -272,9 +272,8 @@ HostFrame frame_with(mem::HostMemory& host, u32 offset,
 std::span<const isa::Instruction> block_at(BlockCache& cache,
                                            mem::HostMemory& host,
                                            HostFrame frame, u32 offset) {
-  cache.fetch(host, frame, offset, kCodeVa + offset);
   const std::span<const isa::Instruction> block =
-      cache.cursor_run(kCodeVa + offset);
+      cache.fetch(host, frame, offset, kCodeVa + offset).run;
   EXPECT_FALSE(block.empty());
   return block;
 }
@@ -293,7 +292,7 @@ TEST(DecodeMemo, IdenticalFramesShareOneRunAndCountAsBuilds) {
   EXPECT_EQ(fb.insns_decoded, 3u);  // a hit is still charged as a build
   EXPECT_EQ(cache.stats().blocks_built, 2u);
   EXPECT_EQ(cache.stats().insns_decoded, 6u);
-  EXPECT_EQ(fa.insn, fb.insn);  // both blocks' instructions are one run's
+  EXPECT_EQ(fa.run.data(), fb.run.data());  // both blocks share one run
   const DecodeMemo::Stats ms = memo.stats();
   EXPECT_EQ(ms.lookups, 2u);
   EXPECT_EQ(ms.hits, 1u);
@@ -477,10 +476,10 @@ TEST(DecodeMemo, FillingPastTheCapKeepsHeldRunsAlive) {
 
   // The first block is still served (a table hit, no rebuild) and intact.
   const BlockCache::Fetched again = cache.fetch(host, held, 0, kCodeVa);
-  ASSERT_NE(again.insn, nullptr);
+  ASSERT_FALSE(again.run.empty());
   EXPECT_EQ(again.insns_decoded, 0u);
-  EXPECT_EQ(again.insn->op, isa::Op::kMovImm);
-  EXPECT_EQ(again.insn->imm, 0u);
+  EXPECT_EQ(again.run[0].op, isa::Op::kMovImm);
+  EXPECT_EQ(again.run[0].imm, 0u);
 }
 
 // Runs decoded from frames backed by the memo's own store point into the
@@ -604,9 +603,8 @@ TEST(DecodeMemo, ConcurrentBuildsThroughOneMemo) {
           code.push_back(static_cast<u8>(imm >> (8 * k)));
         code.push_back(0xC3);
         const HostFrame f = frame_with(host, 128, code);
-        cache.fetch(host, f, 128, kCodeVa);
         const std::span<const isa::Instruction> block =
-            cache.cursor_run(kCodeVa);
+            cache.fetch(host, f, 128, kCodeVa).run;
         if (block.size() != 18 || block[16].imm != imm) ++wrong[tid];
       }
     }
@@ -666,8 +664,8 @@ TEST(BlockCacheRecovery, StoreOverRecoveredFunctionBodyIsObserved) {
   cpu::BlockCache::Fetched before = cache.fetch(
       sys.hv().machine().host(), *frame, page_offset(ev.recovered_start),
       ev.recovered_start);
-  ASSERT_NE(before.insn, nullptr);
-  EXPECT_NE(before.insn->op, isa::Op::kUd2);  // the body was recovered
+  ASSERT_FALSE(before.run.empty());
+  EXPECT_NE(before.run[0].op, isa::Op::kUd2);  // the body was recovered
   const u32 gen_before = cache.frame_generation(*frame);
   const u64 smc_invals_before = cache.stats().inval_guest_write;
 
@@ -683,9 +681,9 @@ TEST(BlockCacheRecovery, StoreOverRecoveredFunctionBodyIsObserved) {
   cpu::BlockCache::Fetched after = cache.fetch(
       sys.hv().machine().host(), *frame, page_offset(ev.recovered_start),
       ev.recovered_start);
-  ASSERT_NE(after.insn, nullptr);
+  ASSERT_FALSE(after.run.empty());
   EXPECT_GT(after.insns_decoded, 0u);  // rebuilt, not served stale
-  EXPECT_EQ(after.insn->op, isa::Op::kUd2);
+  EXPECT_EQ(after.run[0].op, isa::Op::kUd2);
 
   // The run keeps making progress: executing the clobbered body traps on
   // the new bytes and recovery restores it again.

@@ -193,10 +193,12 @@ TEST(TwoPhaseWorkflow, ConfigSurvivesSerializationIntoANewSession) {
   std::string file_contents = harness::profile_of("top").serialize();
 
   harness::GuestSystem sys;  // a different "boot" of the same machine
-  core::KernelViewConfig cfg = core::KernelViewConfig::parse(file_contents);
+  std::optional<core::KernelViewConfig> cfg =
+      core::KernelViewConfig::parse(file_contents);
+  ASSERT_TRUE(cfg.has_value());
   core::FaceChangeEngine engine(sys.hv(), sys.os().kernel());
   engine.enable();
-  engine.bind("top", engine.load_view(cfg));
+  engine.bind("top", engine.load_view(*cfg));
   apps::AppScenario top = apps::make_app("top", 8);
   u32 pid = sys.os().spawn("top", top.model);
   top.install_environment(sys.os());

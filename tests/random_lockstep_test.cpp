@@ -8,12 +8,14 @@
 // an unmapped page inside a hot loop, and self-modifying stores into the
 // running block's own page. Three identical machines run it: uncached,
 // block-cache only, and the block tier stepped one instruction per run()
-// (no simple-op batches). They are stepped one instruction at a time, and
+// (every simple-op batch one op long). They are stepped one instruction at
+// a time, and
 // again in seeded random budgets (so batches run whole), with IRQ edges,
 // deferred IRQ releases and breakpoints injected at the same architectural
 // points. After every step registers, flags, mode, cycles, retired
 // instructions, TLB-miss counts, sampling streams and the exit must match
-// exactly, and the two block-tier guests must count the same insn_hits. One
+// exactly, and the two block-tier guests must count the same insn_hits,
+// block misses, blocks built and instructions decoded. One
 // case maps the code frames at a second virtual address and, once the first
 // mapping's blocks are built, runs the program again through the second
 // mapping: blocks are keyed by (frame, offset), so the second mapping
@@ -552,8 +554,8 @@ struct Guest {
   }
 
   /// Vcpu::run(budget). The stepped tier retires the budget one run(1) at a
-  /// time, so it never enters the block-tail loop or its batches: the
-  /// block tier's per-instruction reference.
+  /// time, so each of its batches is one op long: the block tier's
+  /// per-instruction reference for the batch bounds.
   Exit run(u64 budget) {
     if (tier != Tier::kBlockStepped) return vcpu.run(budget);
     Exit last;
@@ -628,10 +630,16 @@ std::string state_diff(Guest& x, Guest& y) {
   } else {
     field("samples", a.size(), b.size());
   }
-  // The block tier serves each instruction once, batched or not.
-  if (x.block_tier_only() && y.block_tier_only())
-    field("insn_hits", x.vcpu.block_cache().stats().insn_hits,
-          y.vcpu.block_cache().stats().insn_hits);
+  // The block tier serves each instruction once, batched or not, and builds
+  // the same blocks however the budget splits the run.
+  if (x.block_tier_only() && y.block_tier_only()) {
+    const BlockCache::Stats& bx = x.vcpu.block_cache().stats();
+    const BlockCache::Stats& by = y.vcpu.block_cache().stats();
+    field("insn_hits", bx.insn_hits, by.insn_hits);
+    field("block_misses", bx.block_misses, by.block_misses);
+    field("blocks_built", bx.blocks_built, by.blocks_built);
+    field("insns_decoded", bx.insns_decoded, by.insns_decoded);
+  }
   return out.str();
 }
 
@@ -693,7 +701,7 @@ bool run_program(const Program& p, u64 seed, u32 max_chunk, Coverage* cov,
     const u64 budget = max_chunk == 1 ? 1 : events.between(1, max_chunk);
     for (Guest& x : g) x.exit = x.run(budget);
     // Each guest against the reference, and the two block-tier guests
-    // against each other (they also share insn_hits).
+    // against each other (they also share the block counters).
     constexpr std::pair<int, int> kPairs[] = {{0, 1}, {0, 2}, {1, 2}};
     for (const auto& [t, u] : kPairs) {
       std::string diff = state_diff(g[t], g[u]);
@@ -875,10 +883,10 @@ TEST(RandomLockstep, HazardsRerunThroughASharedDecodeMemo) {
   EXPECT_GT(cov.code_writes, 0u);
 }
 
-// Straight-line simple runs that reach the page-tail region: the block tier
-// must hand the tail's instructions to step(), whose fetch probes (and
-// charges a miss on) the next page exactly as uncached fetches do. Each
-// program also runs sampled.
+// Straight-line simple runs that reach the page-tail region: a batch must
+// stop short of it, and each tail instruction's fetch must probe (and charge
+// a miss on) the next page exactly as uncached fetches do. Each program also
+// runs sampled.
 TEST(RandomLockstep, SimpleRunsIntoThePageTail) {
   Coverage cov;
   Drive sampled;

@@ -198,13 +198,15 @@ TEST_P(ConfigRoundTrip, RandomConfigsSurviveSerialization) {
       cfg.modules[name].insert(begin, begin + rng.between(2, 512));
     }
   }
-  core::KernelViewConfig back = core::KernelViewConfig::parse(cfg.serialize());
-  EXPECT_TRUE(cfg == back);
+  std::optional<core::KernelViewConfig> back =
+      core::KernelViewConfig::parse(cfg.serialize());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(cfg == *back);
   // And the parsed copy builds into a working view.
   harness::GuestSystem sys;
   core::FaceChangeEngine engine(sys.hv(), sys.os().kernel());
   engine.enable();
-  u32 view = engine.load_view(back);
+  u32 view = engine.load_view(*back);
   engine.force_activate(view);
   engine.force_activate(core::kFullKernelViewId);
   engine.unload_view(view);

@@ -18,8 +18,10 @@ KernelViewConfig sample() {
 
 TEST(ViewConfig, SerializeParseRoundTrip) {
   KernelViewConfig cfg = sample();
-  KernelViewConfig back = KernelViewConfig::parse(cfg.serialize());
-  EXPECT_TRUE(cfg == back);
+  std::optional<KernelViewConfig> back =
+      KernelViewConfig::parse(cfg.serialize());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(cfg == *back);
 }
 
 TEST(ViewConfig, SerializedFormIsReadable) {
@@ -72,15 +74,51 @@ TEST(ViewConfig, UnionView) {
 }
 
 TEST(ViewConfig, ParseIgnoresCommentsAndBlankLines) {
-  KernelViewConfig cfg = KernelViewConfig::parse(
+  std::optional<KernelViewConfig> cfg = KernelViewConfig::parse(
       "# comment\n\napp x\n[base]\n# another\n0x00001000 0x00002000\n");
-  EXPECT_EQ(cfg.app_name, "x");
-  EXPECT_EQ(cfg.base.size_bytes(), 0x1000u);
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->app_name, "x");
+  EXPECT_EQ(cfg->base.size_bytes(), 0x1000u);
 }
 
+// View files are outside input: every malformed line is reported with its
+// line number, never aborted on, truncated or half-read.
 TEST(ViewConfig, ParseRejectsMalformedLines) {
-  EXPECT_DEATH(KernelViewConfig::parse("app x\n[base]\nnot a range\n"),
-               "malformed");
+  const struct {
+    const char* body;  // the file's lines after "app x" (line 1)
+    u32 line;
+    const char* reason;
+  } kCases[] = {
+      {"[base]\nnot a range\n", 3, "want two addresses"},
+      {"[base]\n0x10 0x5\n", 3, "empty or inverted range"},
+      {"[base]\n0x10 0x10\n", 3, "empty or inverted range"},
+      {"[base]\n0xc0100000 0xc0100010junk\n", 3, "not a 32-bit"},
+      {"[base]\n0x1c0100000 0x1c0100010\n", 3, "not a 32-bit"},
+      {"[base]\n0x 0x10\n", 3, "not a 32-bit"},
+      {"[base]\n0x-1 0x10\n", 3, "not a 32-bit"},
+      {"[base]\n10 0x20\n", 3, "not a 32-bit"},
+      {"[base]\n0x0x10 0x20\n", 3, "not a 32-bit"},
+      {"[base]\n0x10\n", 3, "want two addresses"},
+      {"[base]\n0x10 0x20 0x30\n", 3, "want two addresses"},
+      {"[base]\n0x10 0x20 # note\n", 3, "want two addresses"},
+      {"0x10 0x20\n", 2, "range before any section"},
+      {"[base]\n0x10 0x20\n[module ]\n0x0 0x10\n", 4, "empty module"},
+      {"[base]\n\n# ok\n[module e1000\n", 5, "malformed section"},
+  };
+  for (const auto& c : kCases) {
+    ViewConfigError error;
+    const std::string text = std::string("app x\n") + c.body;
+    EXPECT_FALSE(KernelViewConfig::parse(text, &error).has_value()) << text;
+    EXPECT_EQ(error.line, c.line) << text;
+    EXPECT_NE(error.reason.find(c.reason), std::string::npos)
+        << text << " -> " << error.reason;
+  }
+  // The widest valid forms still parse: full 32-bit values, upper-case
+  // digits, any whitespace between the two tokens.
+  std::optional<KernelViewConfig> cfg = KernelViewConfig::parse(
+      "app x\n[base]\n0xFFFFFFF0 0xffffffff\n0x1\t 0x2\n");
+  ASSERT_TRUE(cfg.has_value());
+  EXPECT_EQ(cfg->base.size_bytes(), 0xFu + 0x1u);
 }
 
 }  // namespace

@@ -71,6 +71,20 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+/// The view file at `path`; a rejected one is bad input: print
+/// "fcsh: PATH:LINE: reason" and exit 2.
+core::KernelViewConfig load_view(const std::string& path) {
+  core::ViewConfigError error;
+  std::optional<core::KernelViewConfig> config =
+      core::KernelViewConfig::parse(slurp(path), &error);
+  if (!config) {
+    std::fprintf(stderr, "fcsh: %s:%u: %s\n", path.c_str(), error.line,
+                 error.reason.c_str());
+    std::exit(2);
+  }
+  return std::move(*config);
+}
+
 void spit(const std::string& path, const std::string& contents) {
   std::ofstream out(path);
   if (!out) {
@@ -198,7 +212,7 @@ int cmd_behavior(const std::string& app, const Options& options) {
 }
 
 int cmd_inspect(const std::string& path) {
-  core::KernelViewConfig config = core::KernelViewConfig::parse(slurp(path));
+  const core::KernelViewConfig config = load_view(path);
   std::printf("app:         %s\n", config.app_name.c_str());
   std::printf("total size:  %llu KB\n",
               static_cast<unsigned long long>(config.size_bytes() >> 10));
@@ -213,8 +227,7 @@ int cmd_inspect(const std::string& path) {
 
 int cmd_enforce(const std::string& app, const Options& options) {
   if (options.view_file.empty()) usage();
-  core::KernelViewConfig config =
-      core::KernelViewConfig::parse(slurp(options.view_file));
+  core::KernelViewConfig config = load_view(options.view_file);
   config.app_name = app;
 
   harness::GuestSystem sys;
