@@ -1,8 +1,5 @@
 #include "ubench_models.hpp"
 
-#include <cstdlib>
-#include <cstdio>
-
 #include "support/check.hpp"
 
 namespace fc::ubench {
@@ -324,9 +321,6 @@ class HttpServerModel : public os::AppModel {
       case 11: ++phase_; return sys(abi::kSysWrite, log_, 128);  // access log
       case 12:
         osr.bump_responses();
-        if (std::getenv("FC_NET_DEBUG") != nullptr)
-          std::fprintf(stderr, "response done conn=%u at %llu\n", conn_,
-                       (unsigned long long)osr.hypervisor().vcpu().cycles());
         phase_ = 4;
         return sys(abi::kSysClose, conn_);
       default:
@@ -427,29 +421,8 @@ double run_httperf(double rate_per_second, const HttperfOptions& options) {
     u32 id = engine->load_view(harness::profile_of("apache"));
     engine->bind("apache", id);
   }
-  struct StatsPrinter {
-    core::FaceChangeEngine* e;
-    ~StatsPrinter() {
-      if (e != nullptr && std::getenv("FC_HTTPERF_DEBUG") != nullptr)
-        std::fprintf(stderr,
-                     "engine: ctx_traps=%llu resume=%llu switches=%llu "
-                     "skipped=%llu switch_cycles=%llu recoveries=%llu\n",
-                     (unsigned long long)e->stats().context_switch_traps,
-                     (unsigned long long)e->stats().resume_traps,
-                     (unsigned long long)e->stats().view_switches(),
-                     (unsigned long long)e->stats().switches_skipped_same_view,
-                     (unsigned long long)e->stats().switch_cycles_charged,
-                     (unsigned long long)e->recovery_stats().recoveries);
-    }
-  } printer{engine.get()};
-
   OpenLoopStats stats = run_http_workload(
       sys, rate_per_second, options.total_requests, options.per_request_compute);
-  if (std::getenv("FC_HTTPERF_DEBUG") != nullptr) {
-    std::fprintf(stderr, "rate=%.0f served=%llu elapsed=%.2fs\n",
-                 rate_per_second, (unsigned long long)stats.served,
-                 stats.seconds);
-  }
   return stats.achieved_rps;
 }
 

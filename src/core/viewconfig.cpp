@@ -57,7 +57,9 @@ std::optional<KernelViewConfig> KernelViewConfig::parse(
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
     if (line.rfind("app ", 0) == 0) {
+      if (!cfg.app_name.empty()) return reject("second app line: " + line);
       cfg.app_name = line.substr(4);
+      if (cfg.app_name.empty()) return reject("empty app name");
       continue;
     }
     if (line == "[base]") {
@@ -83,6 +85,10 @@ std::optional<KernelViewConfig> KernelViewConfig::parse(
                     (begin ? end_text : begin_text));
     if (*begin >= *end) return reject("empty or inverted range: " + line);
     target->insert(*begin, *end);
+  }
+  if (cfg.app_name.empty()) {
+    line_no = 0;  // the whole file
+    return reject("no 'app NAME' line");
   }
   return cfg;
 }

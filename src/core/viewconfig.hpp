@@ -12,8 +12,8 @@
 
 namespace fc::core {
 
-/// Why KernelViewConfig::parse rejected a file: its 1-based line number and
-/// a one-line reason.
+/// Why KernelViewConfig::parse rejected a file: its 1-based line number (0
+/// for the whole file) and a one-line reason.
 struct ViewConfigError {
   u32 line = 0;
   std::string reason;
@@ -63,10 +63,11 @@ struct KernelViewConfig {
   /// Text serialization (one range per line, sectioned by type).
   std::string serialize() const;
   /// Parse a view file. Files are outside input, so every line is checked:
-  /// a range line is exactly two whole "0x" hex tokens, each at most 32
-  /// bits, with begin < end, inside a [base] or non-empty [module NAME]
-  /// section, with nothing trailing. A rejected file yields nullopt and,
-  /// when `error` is given, the first bad line and why.
+  /// exactly one "app NAME" line with a non-empty name, and each range line
+  /// is exactly two whole "0x" hex tokens, each at most 32 bits, with
+  /// begin < end, inside a [base] or non-empty [module NAME] section, with
+  /// nothing trailing. A rejected file yields nullopt and, when `error` is
+  /// given, the first bad line (0 for a file with no app line) and why.
   static std::optional<KernelViewConfig> parse(
       const std::string& text, ViewConfigError* error = nullptr);
 

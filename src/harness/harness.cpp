@@ -287,9 +287,6 @@ class ProbeModel : public os::AppModel {
     const Step& s = steps_[std::min(index_, steps_.size() - 1)];
     if (index_ < steps_.size()) ++index_;
     const u32 b = s.b_from >= 0 ? slots_[s.b_from] : s.b;
-    if (std::getenv("FC_PROBE_DEBUG") != nullptr)
-      std::fprintf(stderr, "probe step %zu: nr %u b %u c %u\n", index_ - 1,
-                   s.nr, b, s.c);
     return os::AppAction::syscall(s.nr, b, s.c, s.d);
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include <cstdlib>
 #include <cstdio>
 
 #include "obs/trace.hpp"
@@ -926,10 +925,6 @@ void OsRuntime::on_ksvc(u16 service, Vcpu& vcpu) {
     }
     case abi::kKsvcSockAccept: {
       Fd* fd = fd_ref(B);
-      if (std::getenv("FC_NET_DEBUG") != nullptr)
-        std::fprintf(stderr, "accept ksvc B=%u pid=%u valid=%d at %llu\n", B,
-                     t.pid, fd != nullptr ? 1 : 0,
-                     (unsigned long long)vcpu.cycles());
       if (fd == nullptr) {
         A = kEbadf;
         break;
@@ -1635,9 +1630,6 @@ void OsRuntime::schedule_datagram(Cycles at, u16 port, u32 len) {
 
 void OsRuntime::schedule_connection(Cycles at, u16 port, u32 request_len) {
   events_.schedule_at(at, [this, port, request_len] {
-    if (std::getenv("FC_NET_DEBUG") != nullptr)
-      std::fprintf(stderr, "syn fire at %llu\n",
-                   (unsigned long long)hv_->vcpu().cycles());
     io_->nic_rx({Packet::kSyn, port, request_len});
   });
 }

@@ -13,19 +13,18 @@ constexpr u64 block_key(HostFrame frame, u32 offset) {
 }
 }  // namespace
 
-BlockCache::Fetched BlockCache::fetch(mem::HostMemory& host,
-                                      HostFrame frame, u32 offset,
-                                      GVirt va) {
+std::span<const MicroOp> BlockCache::fetch(mem::HostMemory& host,
+                                           HostFrame frame, u32 offset,
+                                           GVirt va) {
   // Straight-line cursor: the previous instruction fell through to exactly
   // this (va, frame) and the frame's bytes are unchanged since the decode.
   if (cur_insns_ != nullptr && cur_va_ == va && cur_frame_ == frame &&
       cur_gen_ == gen(frame))
-    return {{cur_insns_ + cur_idx_, cur_count_ - cur_idx_}, 0};
+    return {cur_insns_ + cur_idx_, cur_count_ - cur_idx_};
   cur_insns_ = nullptr;
 
   const u64 key = block_key(frame, offset);
   const DecodedBlock* block = nullptr;
-  u32 decoded = 0;
   for (u32 i = probe_start(key);; i = (i + 1) & (kTableSize - 1)) {
     if (slots_[i] == kEmptySlot) break;
     if (keys_[i] == key) {
@@ -41,11 +40,10 @@ BlockCache::Fetched BlockCache::fetch(mem::HostMemory& host,
       ++stats_.uncacheable;
       return {};
     }
-    decoded = static_cast<u32>(block->insns.size());
-    if (decoded > 0) FC_TRACE_EVENT(kBlockBuild, 0, 0, va, decoded, frame, 0);
+    FC_TRACE_EVENT(kBlockBuild, 0, 0, va, block->insns.size(), frame, 0);
   }
   set_cursor(*block, va);
-  return {block->insns, decoded};
+  return block->insns;
 }
 
 const DecodedBlock* BlockCache::build(mem::HostMemory& host,

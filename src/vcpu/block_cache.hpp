@@ -1,8 +1,8 @@
 // Decoded basic-block cache (the interpreter's answer to QEMU's translation
 // blocks): the uncached interpreter pays an Mmu::fetch plus a fresh
-// isa::decode for every instruction; this cache builds each basic block once
-// and replays the pre-decoded instructions until the underlying code bytes
-// change.
+// isa::decode and lowering for every instruction; this cache builds each
+// basic block once and replays its lowered micro-ops until the underlying
+// code bytes change.
 //
 // Keying and invalidation are what make this safe under FACE-CHANGE:
 //
@@ -24,18 +24,17 @@
 // Building a block asks a DecodeMemo (vcpu/decode_memo.hpp) for the decode:
 // a content-keyed, byte-verified memo that hands every block cache meeting
 // the same bytes — another view's shadow copy, a recovered function, another
-// VM of the same SharedImage — one shared, immutable instruction run. The
-// memo is host-side only: a build counts as a build (stats, decode-cycle
-// charge) whether or not the memo had the run, and generations and the
-// cursor stay per cache.
+// VM of the same SharedImage — one shared, immutable micro-op run. The memo
+// is host-side only: a build counts as a build in the stats whether or not
+// the memo had the run, and generations and the cursor stay per cache.
 //
 // Storage is an open-addressing hash table (flat key/slot arrays, linear
 // probing, no deletion except full clears) over an arena of blocks: branch
 // targets — the hot lookup, once per taken branch — cost one hash probe
 // instead of an unordered_map find. The straight-line cursor keeps copies
-// (instruction pointer, frame, generation) rather than a block pointer, so
+// (micro-op pointer, frame, generation) rather than a block pointer, so
 // arena growth never invalidates it; each arena entry co-owns its run, so
-// the instructions outlive any in-place rebuild of its table slot (and any
+// the micro-ops outlive any in-place rebuild of its table slot (and any
 // memo eviction) until the next full clear, and the generation compare
 // retires stale cursors before they can be served.
 //
@@ -65,8 +64,8 @@ inline bool in_page_tail(GVirt va) {
 struct DecodedBlock {
   HostFrame frame = 0;
   u32 frame_gen = 0;  // frame write-generation the decode is valid for
-  std::shared_ptr<const DecodeRun> run;     // owns what `insns` views
-  std::span<const isa::Instruction> insns;  // the run's instructions
+  std::shared_ptr<const DecodeRun> run;  // owns what `insns` views
+  std::span<const MicroOp> insns;        // the run's micro-ops
 };
 
 class BlockCache final : public mem::CodeWriteSink {
@@ -82,9 +81,8 @@ class BlockCache final : public mem::CodeWriteSink {
     u64 insn_hits = 0;
     u64 block_misses = 0;   // lookups that had to (re)build
     u64 blocks_built = 0;
-    // Instructions in the blocks built: the simulated decode-cost basis
-    // (Fetched::insns_decoded), counted whether or not the memo already
-    // held the run — not the host's decode work.
+    // Instructions in the blocks built, counted whether or not the memo
+    // already held the run — not the host's decode work.
     u64 insns_decoded = 0;
     u64 uncacheable = 0;    // misses where not even one insn decoded
     // Invalidations by cause. Each counts *frames* whose cached decodes
@@ -101,28 +99,22 @@ class BlockCache final : public mem::CodeWriteSink {
     u64 batches = 0;
   };
 
-  struct Fetched {
-    // The block's instructions from the fetched one to its end, as
-    // cursor_run returns them; empty → take the uncached path.
-    std::span<const isa::Instruction> run;
-    u32 insns_decoded = 0;  // instructions in the block this call built
-  };
-
   /// Build through `memo` (not owned; must outlive the cache), or through a
   /// private memo when none is given.
   explicit BlockCache(DecodeMemo* memo = nullptr)
       : own_memo_(memo == nullptr ? std::make_unique<DecodeMemo>() : nullptr),
         memo_(memo == nullptr ? own_memo_.get() : memo) {}
 
-  /// Return the decoded instructions from (frame, offset) — which the caller
-  /// has already resolved via the MMU for `va` — to the end of their block,
-  /// building the block if needed, and park the cursor there. When the
-  /// cursor already sits on (va, frame) it is served without a table probe:
-  /// a mid-block lookup would build a new block starting at `va`. Never
-  /// consults guest translations itself. Counts no hits: the caller reports
-  /// what it serves with note_hit or advance_run.
-  Fetched fetch(mem::HostMemory& host, HostFrame frame, u32 offset,
-                GVirt va);
+  /// Return the micro-ops from (frame, offset) — which the caller has
+  /// already resolved via the MMU for `va` — to the end of their block, as
+  /// cursor_run returns them, building the block if needed, and park the
+  /// cursor there; empty → take the uncached path. When the cursor already
+  /// sits on (va, frame) it is served without a table probe: a mid-block
+  /// lookup would build a new block starting at `va`. Never consults guest
+  /// translations itself. Counts no hits: the caller reports what it serves
+  /// with note_hit or advance_run.
+  std::span<const MicroOp> fetch(mem::HostMemory& host, HostFrame frame,
+                                 u32 offset, GVirt va);
 
   /// The caller executed the cursor's instruction and the next pc is
   /// `next_va`: advance the cursor if execution fell through, drop it
@@ -140,12 +132,12 @@ class BlockCache final : public mem::CodeWriteSink {
 
   /// Straight-line fast path for the vCPU's dispatch loop: if the cursor
   /// sits exactly on `pc` and the frame's bytes are unchanged since the
-  /// decode, the block's instructions from the cursor to its end, with no
+  /// decode, the block's micro-ops from the cursor to its end, with no
   /// table lookup; otherwise an empty span. The caller must already have
   /// established that the code-page translation is unchanged
   /// (Mmu::fill_version) — this never consults the MMU. Counts nothing: the
   /// caller reports what it serves with note_hit or advance_run.
-  std::span<const isa::Instruction> cursor_run(GVirt pc) const {
+  std::span<const MicroOp> cursor_run(GVirt pc) const {
     if (cur_insns_ == nullptr || cur_va_ != pc ||
         cur_gen_ != gen(cur_frame_))
       return {};
@@ -238,7 +230,7 @@ class BlockCache final : public mem::CodeWriteSink {
 
   // Straight-line execution cursor (copies, not a block pointer — see file
   // comment).
-  const isa::Instruction* cur_insns_ = nullptr;
+  const MicroOp* cur_insns_ = nullptr;
   u32 cur_count_ = 0;
   u32 cur_idx_ = 0;
   GVirt cur_va_ = 0;

@@ -52,9 +52,10 @@ u64 content_key(std::span<const u8> page, u32 offset) {
   return h;
 }
 
-/// Decode the block at `offset` and record the byte range the decode read.
+/// Decode and lower the block at `offset` and record the byte range the
+/// decode read.
 DecodeRun decode_run(std::span<const u8> page, u32 offset) {
-  isa::Instruction insns[DecodeMemo::kMaxBlockInsns];
+  MicroOp insns[DecodeMemo::kMaxBlockInsns];
   u32 n = 0;
   u32 at = offset;
   u32 end = 0;
@@ -72,7 +73,7 @@ DecodeRun decode_run(std::span<const u8> page, u32 offset) {
       end = std::min(at + isa::kMaxInstructionLength, kPageSize);
       break;
     }
-    insns[n++] = dec.insn;
+    insns[n++] = lower_insn(dec.insn);
     at += dec.insn.length;
     if (ends_block(dec.insn.op)) {
       end = at;

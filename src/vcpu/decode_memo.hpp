@@ -3,9 +3,10 @@
 // Under FACE-CHANGE every view is a UD2-filled shadow copy of the same
 // pristine kernel code, so the block cache of each view, each recovery
 // rewrite and each VM keeps meeting byte-identical blocks under different
-// host frames. The memo decodes each distinct block once and hands the same
-// immutable instruction run to every block cache that meets those bytes
-// again.
+// host frames. The memo decodes and lowers each distinct block once and
+// hands the same immutable micro-op run to every block cache that meets
+// those bytes again. Micro-ops are position-independent (branch targets are
+// resolved from the pc at execution), so a run is valid at any address.
 //
 //   * Key: (page offset, hash of the block's leading bytes): whole
 //     instructions up to 16 bytes, never past the first one that ends the
@@ -21,8 +22,8 @@
 //     UD2 fill, and may differ between views). A block that stopped on a
 //     decode failure at `at` read up to min(at + kMaxInstructionLength,
 //     kPageSize). A hit requires one memcmp over that range, and isa::decode
-//     is a pure function of those bytes (at a fixed offset), so a hit is
-//     exactly what a fresh decode would return.
+//     and lower_insn are pure functions of those bytes (at a fixed offset),
+//     so a hit is exactly what a fresh decode would return.
 //
 //   * Storage: a run decoded from a frame backed by the memo's own frozen
 //     SharedFrameStore points into that immutable store page; any other
@@ -36,8 +37,8 @@
 //
 // Lookups and hits depend on what ran earlier in the process (and, in a
 // fleet, on worker interleaving), so they are host-side observations only:
-// simulated accounting (block-cache stats, decode-cycle charges) never
-// depends on whether a build hit.
+// simulated accounting (block-cache stats) never depends on whether a build
+// hit.
 #pragma once
 
 #include <array>
@@ -47,20 +48,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "isa/isa.hpp"
 #include "mem/host_memory.hpp"
 #include "support/types.hpp"
+#include "vcpu/op_table.hpp"
 
 namespace fc::cpu {
 
-/// One decoded basic block and the bytes its decode depended on.
+/// One decoded and lowered basic block and the bytes its decode depended
+/// on.
 struct DecodeRun {
   u16 offset = 0;  // page offset of the first instruction
   u16 end = 0;     // one past the last byte the decode read
   /// The bytes [offset, end) as decoded: a frozen store page, or `copy`.
   const u8* bytes = nullptr;
   std::unique_ptr<u8[]> copy;
-  std::vector<isa::Instruction> insns;  // exactly sized; may be empty
+  std::vector<MicroOp> insns;  // exactly sized; may be empty
 };
 
 class DecodeMemo {

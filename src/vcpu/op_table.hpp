@@ -1,7 +1,8 @@
-// One definition of instruction semantics: every isa::Op lowers through
-// kOpTable to a micro-op kind, and Vcpu::exec_insn (the uncached and block
-// tiers) and the block tier's simple-op batches execute that lowering
-// through the same helpers.
+// One definition of instruction semantics: every decoded instruction is
+// lowered once, through kOpTable, to a MicroOp. The decode memo stores the
+// lowered program of each block, the uncached tier lowers the instruction it
+// just decoded, and both tiers run the result through Vcpu::exec (or, for a
+// run of simple ops, the block tier's batch) on the same helpers.
 #pragma once
 
 #include <array>
@@ -12,8 +13,10 @@
 namespace fc::cpu {
 
 /// Micro-op: the executable lowering of one instruction. Register indices
-/// and immediates are pre-extracted and the direct branch target is
-/// resolved against the instruction's address.
+/// and immediates are pre-extracted. It is position-independent: a direct
+/// branch keeps its displacement and its target is resolved at execution
+/// (MicroOp::target), so one lowered run serves every address and every VM
+/// that maps the same bytes.
 ///
 /// The kinds are ordered by class, and the class boundaries are contract:
 ///   simple (kNop..kCmpImm) — straight-line, register-only, retire one
@@ -34,13 +37,13 @@ enum class UOp : u8 {
   kCmpRR,   // ZF = (gpr[r1] - gpr[r2] == 0)
   kAddImm,  // gpr[r1] += imm, ZF
   kSubImm,  // gpr[r1] -= imm, ZF
-  kOrImm,   // gpr[r1] |= imm, ZF (exec_insn's memory-form OR, with the
-            // word it read; lower_insn never produces it)
+  kOrImm,   // gpr[r1] |= imm, ZF (exec's memory-form OR, with the word
+            // it read; lower_insn never produces it)
   kCmpImm,  // ZF = (gpr[r1] - imm == 0)
   kRdtsc,   // gpr[A]:gpr[D] = cycles (read before this op's own charge;
             // reading cycles is what keeps it out of the simple batch)
-  kJmp,     // unconditional: taken_va
-  kJcc,     // conditional on ZF == (aux & kWantZf): taken_va or fallthrough
+  kJmp,     // unconditional: target
+  kJcc,     // conditional on ZF == (aux & kWantZf): target or fallthrough
   kPush,    // sp -= 4; [sp] = gpr[r1] (value read before sp moves)
   kPop,     // gpr[r1] = [sp]; sp += 4 (assigned after the bump)
   kLoad,    // gpr[r1] = [gpr[r2] + imm]
@@ -48,9 +51,9 @@ enum class UOp : u8 {
   kLoadAbs,   // gpr[r1] = [imm]
   kStoreAbs,  // [imm] = gpr[r2]
   kLeave,   // sp = fp; fp = [sp]; sp += 4
-  kCall,    // sp -= 4; [sp] = next pc; pc = taken_va
+  kCall,    // sp -= 4; [sp] = next pc; pc = target
   kRet,     // pc = [sp]; sp += 4
-  kSlow,    // runs through exec_insn's own per-op switch
+  kSlow,    // runs through exec's own switch on the isa::Op
 };
 
 constexpr bool is_simple(UOp k) { return k <= UOp::kCmpImm; }
@@ -59,18 +62,25 @@ constexpr u8 kWantZf = 0x80;  // aux: a Jcc that is taken when ZF is set
 
 struct MicroOp {
   UOp kind = UOp::kSlow;
-  u8 r1 = 0;           // destination gpr index
-  u8 r2 = 0;           // source gpr index
-  u8 aux = 0;          // kJcc: kWantZf
-  u32 imm = 0;         // immediate operand (the displacement for kLoad /
-                       // kStore, the address for kLoadAbs / kStoreAbs)
-  GVirt taken_va = 0;  // branch / call target (kJmp/kJcc/kCall)
-};
+  isa::Op op = isa::Op::kNop;  // the instruction lowered (kSlow's switch)
+  u8 r1 = 0;      // destination gpr index
+  u8 r2 = 0;      // source gpr index
+  u8 aux = 0;     // kJcc: kWantZf
+  u8 length = 1;  // encoded length in bytes
+  u32 imm = 0;    // immediate operand (the displacement for kLoad / kStore,
+                  // the address for kLoadAbs / kStoreAbs)
+  i32 rel = 0;    // branch / call displacement (kJmp/kJcc/kCall)
 
-/// Per-op lowering facts, indexed by isa::Op: the one table every tier
-/// reads. Ops without an entry lower to kSlow and run through
-/// Vcpu::exec_insn's own switch (environment calls, interrupt flow,
-/// masking, indirect calls, UD2).
+  /// The direct branch / call target of this op at `pc`.
+  GVirt target(GVirt pc) const {
+    return pc + length + static_cast<u32>(rel);
+  }
+};
+static_assert(sizeof(MicroOp) == sizeof(isa::Instruction));
+
+/// Per-op lowering facts, indexed by isa::Op: the one lowering table. Ops
+/// without an entry lower to kSlow and run through Vcpu::exec's own switch
+/// (environment calls, interrupt flow, masking, indirect calls, UD2).
 struct OpInfo {
   UOp uop = UOp::kSlow;
   u8 implicit_a = 0;  // kAIsR1 / kAIsR2: that operand is register A
@@ -115,23 +125,24 @@ inline constexpr auto kOpTable = [] {
   return t;
 }();
 
-/// Lower one instruction at `va` through kOpTable. `op` is insn.op, passed
-/// separately so a caller that knows it at compile time (Vcpu::exec_insn's
-/// per-op instances) folds the whole lowering to constants.
-inline MicroOp lower_insn(isa::Op op, const isa::Instruction& insn,
-                          GVirt va) {
-  const OpInfo& info = kOpTable[static_cast<std::size_t>(op)];
+/// Lower one decoded instruction through kOpTable. Called once per decode:
+/// by the decode memo for each instruction of a block, and by the uncached
+/// tier for the instruction it just fetched.
+inline MicroOp lower_insn(const isa::Instruction& insn) {
+  const OpInfo& info = kOpTable[static_cast<std::size_t>(insn.op)];
   MicroOp u;
   // The memory form of OR (the misinterpreted 0B 0F pair) reads through the
-  // MMU with no fault path: exec_insn's own case.
-  u.kind = op == isa::Op::kOr && insn.disp != 0 ? UOp::kSlow : info.uop;
+  // MMU with no fault path: exec's own case.
+  u.kind = insn.op == isa::Op::kOr && insn.disp != 0 ? UOp::kSlow : info.uop;
+  u.op = insn.op;
   u.r1 = static_cast<u8>(info.implicit_a == kAIsR1 ? isa::Reg::A : insn.r1);
   u.r2 = static_cast<u8>(info.implicit_a == kAIsR2 ? isa::Reg::A : insn.r2);
   u.aux = info.aux;
+  u.length = insn.length;
   u.imm = info.uop == UOp::kLoad || info.uop == UOp::kStore
               ? static_cast<u32>(insn.disp)
               : insn.imm;
-  u.taken_va = insn.rel_target(va);
+  u.rel = insn.disp;
   return u;
 }
 

@@ -13,7 +13,11 @@
 namespace fc::cpu {
 
 struct PerfModel {
-  // Instruction execution.
+  // Instruction execution. Decoding is free, so cycle counts are identical
+  // with the block cache on or off; the block tier's simple-op batches
+  // charge length * cost_default in one add, exactly what per-op retirement
+  // charges. Lockstep asserts cycles AND tlb-miss equality per step across
+  // tiers.
   u32 cost_default = 1;
   u32 cost_call = 3;
   u32 cost_ret = 3;
@@ -24,18 +28,6 @@ struct PerfModel {
 
   // Memory system.
   u32 cost_tlb_walk = 30;  // charged per TLB miss (two-level walk + EPT)
-
-  // Front-end decode. Charged once per *decode performed*: per instruction
-  // on the slow path, but only at block-build time when the decoded-block
-  // cache serves execution — re-running a cached block is decode-free, just
-  // like real hardware re-hitting its uop/trace cache. Zero by default so
-  // simulated cycle numbers stay identical with the cache on or off (the
-  // lockstep equivalence test depends on that identity).
-  //
-  // The block tier's simple-op batches charge length * cost_default in one
-  // add, exactly what per-op retirement charges. Lockstep asserts cycles
-  // AND tlb-miss equality per step across tiers.
-  u32 cost_decode = 0;
 
   // Virtualization events (charged by the hypervisor / FACE-CHANGE engine).
   u32 cost_vmexit = 2600;        // guest→host→guest round trip

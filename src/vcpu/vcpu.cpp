@@ -1,8 +1,6 @@
 #include "vcpu/vcpu.hpp"
 
 #include <algorithm>
-#include <array>
-#include <utility>
 
 #include "obs/trace.hpp"
 #include "support/check.hpp"
@@ -81,10 +79,10 @@ bool Vcpu::deliver_interrupt(u8 vector, bool hardware) {
 }
 
 // ---------------------------------------------------------------------------
-// Instruction semantics. exec_insn (the uncached and block tiers) and the
-// block tier's simple-op batches execute these same helpers on the same
-// kOpTable lowering; they differ only in dispatch and in how retire() is
-// called (per op, or once per batch).
+// Instruction semantics. exec (the uncached and block tiers) and the block
+// tier's simple-op batches execute these same helpers on the same kOpTable
+// lowering; they differ only in dispatch and in how retire() is called (per
+// op, or once per batch).
 // ---------------------------------------------------------------------------
 
 void Vcpu::exec_simple(UOp kind, u8 r1, u8 r2, u32 imm) {
@@ -199,40 +197,14 @@ u64 Vcpu::retire(u32 cost, u64 miss_baseline, u64 count) {
   return misses;
 }
 
-Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before,
-                     u8 tier) {
-  // One exec_op instance per isa::Op (kOpTable has a row for each).
-  using ExecOp = Exit (Vcpu::*)(const isa::Instruction&, u64, u8);
-  static constexpr auto kExecOps =
-      []<std::size_t... I>(std::index_sequence<I...>) {
-        return std::array<ExecOp, sizeof...(I)>{
-            &Vcpu::exec_op<static_cast<Op>(I)>...};
-      }(std::make_index_sequence<kOpTable.size()>{});
-  return (this->*kExecOps[static_cast<std::size_t>(insn.op)])(
-      insn, misses_before, tier);
-}
-
-template <isa::Op kOp>
-Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before,
-                   u8 tier) {
-  // UD2 and the privilege checks for simulator instructions trap without
-  // retiring.
-  if (kOp == Op::kUd2 ||
-      ((kOp == Op::kKsvc || kOp == Op::kCli || kOp == Op::kSti) &&
-       regs_.mode != Mode::kKernel) ||
-      (kOp == Op::kAppStep && regs_.mode != Mode::kUser)) {
-    end_block(regs_.pc);
-    return {ExitReason::kInvalidOpcode, regs_.pc};
-  }
-
+Exit Vcpu::exec(const MicroOp& u, u64 misses_before, u8 tier) {
   if (!in_block_) {
     in_block_ = true;
     block_start_ = regs_.pc;
   }
 
   const GVirt pc = regs_.pc;
-  const GVirt next = pc + insn.length;
-  const MicroOp u = lower_insn(kOp, insn, pc);
+  const GVirt next = pc + u.length;
   u32 cost = perf_.cost_default;
   Exit pending_exit{ExitReason::kNone, 0};
 
@@ -243,16 +215,16 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before,
       break;
     case UOp::kJmp:
       end_block(next);
-      regs_.pc = u.taken_va;
+      regs_.pc = u.target(pc);
       break;
     case UOp::kJcc:
       end_block(next);
-      regs_.pc = regs_.zf == ((u.aux & kWantZf) != 0) ? u.taken_va : next;
+      regs_.pc = regs_.zf == ((u.aux & kWantZf) != 0) ? u.target(pc) : next;
       break;
     case UOp::kCall:
       if (!push(next)) return data_fault(pc);
       end_block(next);
-      regs_.pc = u.taken_va;
+      regs_.pc = u.target(pc);
       cost = perf_.cost_call;
       break;
     case UOp::kRet: {
@@ -274,13 +246,22 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before,
       regs_.pc = next;
       break;
     case UOp::kSlow:
-      switch (kOp) {
+      // UD2 and the privilege checks for simulator instructions trap
+      // without retiring, before any state change.
+      if (u.op == Op::kUd2 ||
+          ((u.op == Op::kKsvc || u.op == Op::kCli || u.op == Op::kSti) &&
+           regs_.mode != Mode::kKernel) ||
+          (u.op == Op::kAppStep && regs_.mode != Mode::kUser)) {
+        end_block(pc);
+        return {ExitReason::kInvalidOpcode, pc};
+      }
+      switch (u.op) {
         case Op::kOr: {
           // Memory form (the misinterpreted 0B 0F pair lands here): read
           // through the MMU if mapped, else "read" garbage — either way the
           // guest keeps running wrongly instead of trapping, which is the
           // exact hazard instant recovery exists to prevent.
-          u32 addr = regs_[insn.r2];
+          u32 addr = regs_.gpr[u.r2];
           auto frame = machine_->mmu().translate_page(page_base(addr));
           u32 value = frame.has_value() && page_offset(addr) + 4 <= kPageSize
                           ? machine_->host().read32(*frame, page_offset(addr))
@@ -291,7 +272,7 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before,
         }
         case Op::kCallTab: {
           u32 target = 0;
-          if (!load(target, insn.imm + regs_[Reg::A] * 4) || !push(next))
+          if (!load(target, u.imm + regs_[Reg::A] * 4) || !push(next))
             return data_fault(pc);
           end_block(next);
           regs_.pc = target;
@@ -300,7 +281,7 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before,
         }
         case Op::kInt:
           regs_.pc = next;  // return address is the next instruction
-          if (!deliver_interrupt(static_cast<u8>(insn.imm),
+          if (!deliver_interrupt(static_cast<u8>(u.imm),
                                  /*hardware=*/false)) {
             // No handler: fault the guest at the INT itself.
             regs_.pc = pc;
@@ -359,7 +340,7 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before,
           regs_.pc = next;
           cost = perf_.cost_ksvc;
           FC_CHECK(env_ != nullptr, << "KSVC with no environment");
-          env_->on_ksvc(static_cast<u16>(insn.imm), *this);
+          env_->on_ksvc(static_cast<u16>(u.imm), *this);
           break;
         case Op::kAppStep:
           regs_.pc = next;
@@ -389,8 +370,7 @@ Exit Vcpu::exec_op(const isa::Instruction& insn, u64 misses_before,
   return pending_exit;
 }
 
-void Vcpu::run_block_batch(std::span<const isa::Instruction> run,
-                           u64 budget_end) {
+void Vcpu::run_block_batch(std::span<const MicroOp> run, u64 budget_end) {
   const GVirt head = regs_.pc;
   // run() checked the head. Later ops stop short of the page-tail region
   // (run() probes the next page there) and of any breakpoint or armed
@@ -422,11 +402,11 @@ void Vcpu::run_block_batch(std::span<const isa::Instruction> run,
   GVirt last = head;
   std::size_t n = 0;
   do {
-    const MicroOp u = lower_insn(run[n].op, run[n], va);
+    const MicroOp& u = run[n];
     if (!is_simple(u.kind)) break;
     exec_simple(u.kind, u.r1, u.r2, u.imm);
     last = va;
-    va += run[n].length;
+    va += u.length;
   } while (++n < limit && va < stop);
   retire(perf_.cost_default, misses, n);
   regs_.pc = va;
@@ -476,7 +456,7 @@ Exit Vcpu::run(u64 max_instructions) {
     // — including its probe of the next page from the page tail, whose
     // misses are charged — so simulated time, which feeds guest state
     // (rdtsc, IRQ release), matches the uncached interpreter.
-    std::span<const isa::Instruction> block;
+    std::span<const MicroOp> block;
     if (block_cache_enabled_) {
       if (!in_page_tail(pc) && mmu.fill_version() == fetch_tlb_version_ &&
           mmu.ept().generation() == fetch_ept_gen_)
@@ -486,13 +466,10 @@ Exit Vcpu::run(u64 max_instructions) {
         if (!frame) return stop(ExitReason::kFetchFault, pc);
         if (in_page_tail(pc))
           (void)mmu.translate_page(page_base(pc) + kPageSize);
-        const BlockCache::Fetched fetched =
+        block =
             block_cache_.fetch(machine_->host(), *frame, page_offset(pc), pc);
-        cycles_ += static_cast<Cycles>(fetched.insns_decoded) *
-                   perf_.cost_decode;
         fetch_tlb_version_ = mmu.fill_version();
         fetch_ept_gen_ = mmu.ept().generation();
-        block = fetched.run;
       }
     }
 
@@ -501,24 +478,23 @@ Exit Vcpu::run(u64 max_instructions) {
       // A simple op starts a batch unless its own fetch walked the page
       // tables: a batch charges cost_default per op and nothing else, so
       // that walk would shift where a sample or IRQ release falls.
-      if (is_simple(lower_insn(block[0].op, block[0], pc).kind) &&
+      if (is_simple(block[0].kind) &&
           mmu.stats().tlb_misses == misses_before) {
         run_block_batch(block, budget_end);
         continue;
       }
       block_cache_.note_hit();
-      exit = exec_insn(block[0], misses_before, kTierBlock);
+      exit = exec(block[0], misses_before, kTierBlock);
     } else {
-      // Uncached: fetch and decode afresh (also where nothing is cacheable).
+      // Uncached: fetch, decode and lower afresh (also where nothing is
+      // cacheable). Bytes that do not decode trap here; UD2 decodes, and
+      // exec traps it.
       u8 window[isa::kMaxInstructionLength];
       const u32 got = mmu.fetch(pc, window, isa::kMaxInstructionLength);
       if (got == 0) return stop(ExitReason::kFetchFault, pc);
-      // Both genuinely-invalid bytes and UD2 fail here (UD2 decodes but is
-      // the architectural invalid-opcode instruction).
       const isa::DecodeResult dec = isa::decode({window, got});
       if (!dec.ok()) return stop(ExitReason::kInvalidOpcode, pc);
-      cycles_ += perf_.cost_decode;
-      exit = exec_insn(dec.insn, misses_before, kTierInterp);
+      exit = exec(lower_insn(dec.insn), misses_before, kTierInterp);
     }
     if (exit.reason != ExitReason::kNone) return exit;
   }

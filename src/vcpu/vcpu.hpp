@@ -139,7 +139,6 @@ class Vcpu {
 
   void set_env(CpuEnv* env) { env_ = env; }
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
-  void set_perf_model(const PerfModel& pm) { perf_ = pm; }
   const PerfModel& perf_model() const { return perf_; }
 
   /// Attach (or detach with nullptr / period 0) the sampling profiler. The
@@ -161,8 +160,8 @@ class Vcpu {
   Cycles sample_period() const { return sample_period_; }
 
   /// The decoded basic-block cache (on by default). Disabling drops every
-  /// cached block and makes run() fetch and decode each instruction afresh
-  /// — the `--no-block-cache` baseline and the lockstep reference.
+  /// cached block and makes run() fetch, decode and lower each instruction
+  /// afresh — the `--no-block-cache` baseline and the lockstep reference.
   void set_block_cache_enabled(bool on) {
     if (!on) block_cache_.clear();
     block_cache_enabled_ = on;
@@ -219,9 +218,9 @@ class Vcpu {
   /// Run until a VM exit or until `max_instructions` more instructions
   /// retire. The one dispatch loop: each iteration releases deferred IRQs
   /// or delivers a pending one, checks breakpoints, fetches (the block
-  /// cache's cursor, a block lookup, or the uncached fetch+decode) and
-  /// executes one op or a batch of simple ones, charging the TLB walks its
-  /// fetch and execution take.
+  /// cache's cursor, a block lookup, or the uncached fetch, decode and
+  /// lowering) and executes one op or a batch of simple ones, charging the
+  /// TLB walks its fetch and execution take.
   Exit run(u64 max_instructions);
 
   /// Deliver an interrupt/exception through the IDT right now (microcode).
@@ -232,27 +231,22 @@ class Vcpu {
   bool deliver_interrupt(u8 vector, bool hardware);
 
  private:
-  /// Execute one already-fetched instruction: trace-block bookkeeping, the
-  /// lowered op through the shared semantic helpers, and retire() against
-  /// `misses_before`; a sample it reaches is attributed to `tier`. UD2 /
-  /// privilege traps return without retiring. Dispatches to the exec_op
-  /// instance for insn.op.
-  Exit exec_insn(const isa::Instruction& insn, u64 misses_before, u8 tier);
-  /// exec_insn for one opcode: with the op a compile-time constant, the
-  /// kOpTable lowering and the micro-op switch fold away.
-  template <isa::Op kOp>
-  Exit exec_op(const isa::Instruction& insn, u64 misses_before, u8 tier);
+  /// Execute one already-fetched micro-op at regs_.pc, for both tiers:
+  /// trace-block bookkeeping, the op through the shared semantic helpers,
+  /// and retire() against `misses_before`; a sample it reaches is attributed
+  /// to `tier`. UD2 and privilege traps return before any state change and
+  /// without retiring.
+  Exit exec(const MicroOp& u, u64 misses_before, u8 tier);
   /// The run of simple ops at the head of `run` (the rest of the cached
   /// block, whose first op is simple and already checked by run()) as one
   /// batch: one retire for all of them, then the sample the last op's
   /// retirement reached, as per-op execution would have. It stops at the
-  /// budget, right
-  /// after the op whose retirement reaches the next sample or deferred-IRQ
-  /// release, before any op in the page-tail region, at a breakpoint or the
-  /// armed suppress-once, and at the first non-simple op. Simple ops cannot
-  /// move anything else run() checks (see UOp), so nothing else needs a
-  /// per-op check.
-  void run_block_batch(std::span<const isa::Instruction> run, u64 budget_end);
+  /// budget, right after the op whose retirement reaches the next sample or
+  /// deferred-IRQ release, before any op in the page-tail region, at a
+  /// breakpoint or the armed suppress-once, and at the first non-simple op.
+  /// Simple ops cannot move anything else run() checks (see UOp), so
+  /// nothing else needs a per-op check.
+  void run_block_batch(std::span<const MicroOp> run, u64 budget_end);
 
   // --- instruction semantics: one definition for both tiers ---------------
   // (Forced inline: they sit on every per-instruction path.)

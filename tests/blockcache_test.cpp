@@ -267,13 +267,12 @@ HostFrame frame_with(mem::HostMemory& host, u32 offset,
   return f;
 }
 
-/// Build (or find) the block at (frame, offset) and return its instructions
+/// Build (or find) the block at (frame, offset) and return its micro-ops
 /// (the arena entry co-owns their run until the next clear).
-std::span<const isa::Instruction> block_at(BlockCache& cache,
-                                           mem::HostMemory& host,
-                                           HostFrame frame, u32 offset) {
-  const std::span<const isa::Instruction> block =
-      cache.fetch(host, frame, offset, kCodeVa + offset).run;
+std::span<const MicroOp> block_at(BlockCache& cache, mem::HostMemory& host,
+                                  HostFrame frame, u32 offset) {
+  const std::span<const MicroOp> block =
+      cache.fetch(host, frame, offset, kCodeVa + offset);
   EXPECT_FALSE(block.empty());
   return block;
 }
@@ -286,13 +285,12 @@ TEST(DecodeMemo, IdenticalFramesShareOneRunAndCountAsBuilds) {
   const HostFrame a = frame_with(host, 64, code);
   const HostFrame b = frame_with(host, 64, code);
 
-  const BlockCache::Fetched fa = cache.fetch(host, a, 64, kCodeVa);
-  const BlockCache::Fetched fb = cache.fetch(host, b, 64, kCodeVa);
-  EXPECT_EQ(fa.insns_decoded, 3u);
-  EXPECT_EQ(fb.insns_decoded, 3u);  // a hit is still charged as a build
+  const std::span<const MicroOp> fa = cache.fetch(host, a, 64, kCodeVa);
+  EXPECT_EQ(cache.stats().insns_decoded, 3u);
+  const std::span<const MicroOp> fb = cache.fetch(host, b, 64, kCodeVa);
+  EXPECT_EQ(cache.stats().insns_decoded, 6u);  // a hit still counts as a build
   EXPECT_EQ(cache.stats().blocks_built, 2u);
-  EXPECT_EQ(cache.stats().insns_decoded, 6u);
-  EXPECT_EQ(fa.run.data(), fb.run.data());  // both blocks share one run
+  EXPECT_EQ(fa.data(), fb.data());  // both blocks share one run
   const DecodeMemo::Stats ms = memo.stats();
   EXPECT_EQ(ms.lookups, 2u);
   EXPECT_EQ(ms.hits, 1u);
@@ -360,7 +358,7 @@ TEST(DecodeMemo, FailureEndedBlockIsVerifiedPastTheFailure) {
   const HostFrame bad = frame_with(host, 0, code(0x00));
   const HostFrame good = frame_with(host, 0, code(0x85));
   EXPECT_EQ(block_at(cache, host, bad, 0).size(), 16u);
-  const std::span<const isa::Instruction> b = block_at(cache, host, good, 0);
+  const std::span<const MicroOp> b = block_at(cache, host, good, 0);
   ASSERT_EQ(b.size(), 17u);
   EXPECT_EQ(b[16].op, isa::Op::kCallTab);
   EXPECT_EQ(memo.stats().hits, 0u);
@@ -414,7 +412,7 @@ TEST(DecodeMemo, CapEndedBlockCoversExactlyItsInstructions) {
   EXPECT_EQ(block_at(cache, host, a, 0).size(), cap);
   EXPECT_EQ(block_at(cache, host, b, 0).size(), cap);
   EXPECT_EQ(memo.stats().hits, 1u);
-  const std::span<const isa::Instruction> shorter = block_at(cache, host, c, 0);
+  const std::span<const MicroOp> shorter = block_at(cache, host, c, 0);
   EXPECT_EQ(shorter.size(), cap);
   EXPECT_EQ(shorter.back().op, isa::Op::kRet);
   EXPECT_EQ(memo.stats().hits, 1u);
@@ -475,11 +473,12 @@ TEST(DecodeMemo, FillingPastTheCapKeepsHeldRunsAlive) {
   EXPECT_LE(memo.stats().resident_runs, DecodeMemo::kMaxResidentRuns);
 
   // The first block is still served (a table hit, no rebuild) and intact.
-  const BlockCache::Fetched again = cache.fetch(host, held, 0, kCodeVa);
-  ASSERT_FALSE(again.run.empty());
-  EXPECT_EQ(again.insns_decoded, 0u);
-  EXPECT_EQ(again.run[0].op, isa::Op::kMovImm);
-  EXPECT_EQ(again.run[0].imm, 0u);
+  const u64 built = cache.stats().blocks_built;
+  const std::span<const MicroOp> again = cache.fetch(host, held, 0, kCodeVa);
+  ASSERT_FALSE(again.empty());
+  EXPECT_EQ(cache.stats().blocks_built, built);
+  EXPECT_EQ(again[0].op, isa::Op::kMovImm);
+  EXPECT_EQ(again[0].imm, 0u);
 }
 
 // Runs decoded from frames backed by the memo's own store point into the
@@ -497,8 +496,7 @@ TEST(DecodeMemo, StoreBackedRunsAreNotCopied) {
   DecodeMemo memo(&store);
   BlockCache cache(&memo);
   const HostFrame shared = host.adopt_shared(id);
-  const std::span<const isa::Instruction> block =
-      block_at(cache, host, shared, 32);
+  const std::span<const MicroOp> block = block_at(cache, host, shared, 32);
   EXPECT_EQ(memo.decode(host, shared, 32)->bytes, store.page_data(id) + 32);
   EXPECT_EQ(memo.stats().copied_bytes, 0u);
   const HostFrame priv = frame_with(host, 32, code);
@@ -603,8 +601,8 @@ TEST(DecodeMemo, ConcurrentBuildsThroughOneMemo) {
           code.push_back(static_cast<u8>(imm >> (8 * k)));
         code.push_back(0xC3);
         const HostFrame f = frame_with(host, 128, code);
-        const std::span<const isa::Instruction> block =
-            cache.fetch(host, f, 128, kCodeVa).run;
+        const std::span<const MicroOp> block =
+            cache.fetch(host, f, 128, kCodeVa);
         if (block.size() != 18 || block[16].imm != imm) ++wrong[tid];
       }
     }
@@ -661,11 +659,11 @@ TEST(BlockCacheRecovery, StoreOverRecoveredFunctionBodyIsObserved) {
   mem::Mmu& mmu = sys.hv().machine().mmu();
   auto frame = mmu.translate_page(page_base(ev.recovered_start));
   ASSERT_TRUE(frame.has_value());
-  cpu::BlockCache::Fetched before = cache.fetch(
+  const std::span<const cpu::MicroOp> before = cache.fetch(
       sys.hv().machine().host(), *frame, page_offset(ev.recovered_start),
       ev.recovered_start);
-  ASSERT_FALSE(before.run.empty());
-  EXPECT_NE(before.run[0].op, isa::Op::kUd2);  // the body was recovered
+  ASSERT_FALSE(before.empty());
+  EXPECT_NE(before[0].op, isa::Op::kUd2);  // the body was recovered
   const u32 gen_before = cache.frame_generation(*frame);
   const u64 smc_invals_before = cache.stats().inval_guest_write;
 
@@ -678,12 +676,13 @@ TEST(BlockCacheRecovery, StoreOverRecoveredFunctionBodyIsObserved) {
 
   // Observed on the very next fetch: the stale block is rebuilt and the
   // overwritten address now decodes as UD2.
-  cpu::BlockCache::Fetched after = cache.fetch(
+  const u64 built = cache.stats().blocks_built;
+  const std::span<const cpu::MicroOp> after = cache.fetch(
       sys.hv().machine().host(), *frame, page_offset(ev.recovered_start),
       ev.recovered_start);
-  ASSERT_FALSE(after.run.empty());
-  EXPECT_GT(after.insns_decoded, 0u);  // rebuilt, not served stale
-  EXPECT_EQ(after.run[0].op, isa::Op::kUd2);
+  ASSERT_FALSE(after.empty());
+  EXPECT_EQ(cache.stats().blocks_built, built + 1);  // rebuilt, not stale
+  EXPECT_EQ(after[0].op, isa::Op::kUd2);
 
   // The run keeps making progress: executing the clobbered body traps on
   // the new bytes and recovery restores it again.

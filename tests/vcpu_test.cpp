@@ -3,6 +3,9 @@
 // and the deferred-IRQ ("missed edge") mechanism.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <vector>
+
 #include "isa/assembler.hpp"
 #include "vcpu/vcpu.hpp"
 
@@ -223,18 +226,73 @@ TEST_F(VcpuFixture, BreakpointExitsBeforeExecutionAndSuppressWorks) {
   EXPECT_EQ(vcpu_.regs()[Reg::A], 1u);
 }
 
-TEST_F(VcpuFixture, CliStiArePrivileged) {
-  mem::GuestPageTableBuilder builder(machine_, 0x1000, 0x100000);
-  builder.map(dir_, 0x08050000, 0x310000, 1);
-  Assembler user;
-  user.cli();
-  std::vector<u8> bytes = user.finish(0x08050000);
-  machine_.pwrite_bytes(0x310000, bytes);
-  vcpu_.regs().mode = Mode::kUser;
-  vcpu_.regs().pc = 0x08050000;
-  Exit exit = run();
-  EXPECT_EQ(exit.reason, ExitReason::kInvalidOpcode);
+// UD2 and the privilege checks are runtime checks in exec's slow case, so
+// each one is covered on both tiers: the op traps at its own pc, before any
+// state change and without retiring.
+struct TrapOp {
+  const char* name;
+  Mode mode;  // the mode the op runs in
+  void (*emit)(Assembler&);
+};
+constexpr TrapOp kTrapOps[] = {
+    {"cli_user", Mode::kUser, [](Assembler& a) { a.cli(); }},
+    {"sti_user", Mode::kUser, [](Assembler& a) { a.sti(); }},
+    {"ksvc_user", Mode::kUser, [](Assembler& a) { a.ksvc(1); }},
+    {"appstep_kernel", Mode::kKernel, [](Assembler& a) { a.appstep(); }},
+    {"ud2_kernel", Mode::kKernel, [](Assembler& a) { a.ud2(); }},
+};
+
+struct TrapCase {
+  TrapOp op;
+  bool cached;  // block tier, or the uncached reference tier
+};
+
+std::ostream& operator<<(std::ostream& os, const TrapCase& c) {
+  return os << (c.cached ? "block_" : "uncached_") << c.op.name;
 }
+
+std::vector<TrapCase> trap_cases() {
+  std::vector<TrapCase> cases;
+  for (const bool cached : {false, true})
+    for (const TrapOp& op : kTrapOps) cases.push_back({op, cached});
+  return cases;
+}
+
+class VcpuTrap : public VcpuFixture,
+                 public ::testing::WithParamInterface<TrapCase> {};
+
+TEST_P(VcpuTrap, TrapsAtItsPcWithoutRetiring) {
+  const TrapCase& c = GetParam();
+  constexpr GVirt kUserVa = 0x08050000;
+  constexpr GPhys kUserPa = 0x310000;
+  mem::GuestPageTableBuilder builder(machine_, 0x1000, 0x100000);
+  builder.map(dir_, kUserVa, kUserPa, 1);
+  const bool user = c.op.mode == Mode::kUser;
+  const GVirt pc = user ? kUserVa : kCodeVa;
+  Assembler a;
+  c.op.emit(a);
+  a.hlt();
+  machine_.pwrite_bytes(user ? kUserPa : mem::GuestLayout::kernel_pa(kCodeVa),
+                        a.finish(pc));
+  vcpu_.set_block_cache_enabled(c.cached);
+  vcpu_.regs().mode = c.op.mode;
+  vcpu_.regs().pc = pc;
+  const u64 retired = vcpu_.instructions_retired();
+  const Exit exit = run();
+  EXPECT_EQ(exit.reason, ExitReason::kInvalidOpcode);
+  EXPECT_EQ(exit.pc, pc);
+  EXPECT_EQ(vcpu_.regs().pc, pc);
+  EXPECT_EQ(vcpu_.instructions_retired(), retired);
+  // The tier that ran it: only the block tier builds a block.
+  EXPECT_EQ(vcpu_.block_cache().stats().blocks_built, c.cached ? 1u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothTiers, VcpuTrap, ::testing::ValuesIn(trap_cases()),
+                         [](const ::testing::TestParamInfo<TrapCase>& p) {
+                           std::ostringstream name;
+                           name << p.param;
+                           return name.str();
+                         });
 
 TEST_F(VcpuFixture, RdtscReturnsCycleCounter) {
   Assembler a;

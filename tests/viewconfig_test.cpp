@@ -113,6 +113,27 @@ TEST(ViewConfig, ParseRejectsMalformedLines) {
     EXPECT_NE(error.reason.find(c.reason), std::string::npos)
         << text << " -> " << error.reason;
   }
+  // The app line: exactly one, with a non-empty name. A missing one is the
+  // whole file's fault (line 0); a second or empty one is its own line's.
+  const struct {
+    const char* text;
+    u32 line;
+    const char* reason;
+  } kAppCases[] = {
+      {"", 0, "no 'app NAME' line"},
+      {"# only a comment\n", 0, "no 'app NAME' line"},
+      {"[base]\n0x10 0x20\n", 0, "no 'app NAME' line"},
+      {"app \n[base]\n", 1, "empty app name"},
+      {"# header\napp a\n[base]\napp b\n", 4, "second app line"},
+  };
+  for (const auto& c : kAppCases) {
+    ViewConfigError error;
+    EXPECT_FALSE(KernelViewConfig::parse(c.text, &error).has_value())
+        << c.text;
+    EXPECT_EQ(error.line, c.line) << c.text;
+    EXPECT_NE(error.reason.find(c.reason), std::string::npos)
+        << c.text << " -> " << error.reason;
+  }
   // The widest valid forms still parse: full 32-bit values, upper-case
   // digits, any whitespace between the two tokens.
   std::optional<KernelViewConfig> cfg = KernelViewConfig::parse(
